@@ -186,8 +186,8 @@ def _score_parallel(model: GanfModel, windows: np.ndarray,
 @main.command("score")
 @click.option("--checkpoint", "ckpt_path", required=True, type=click.Path())
 @click.option("--data", "data_csv", required=True, type=click.Path())
-@click.option("--window-len", type=int, default=None)
-@click.option("--stride", type=int, default=None)
+@click.option("--window-len", type=click.IntRange(min=1), default=None)
+@click.option("--stride", type=click.IntRange(min=1), default=1)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
     """Score every window of a dataset with a trained checkpoint."""
@@ -200,8 +200,8 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
     except CheckpointError as exc:
         _fail(exc)
     extra = _checkpoint_extra(ckpt_path)
-    window_len = window_len or int(extra.get("window_len", 20))
-    stride = stride or 1
+    if window_len is None:
+        window_len = int(extra.get("window_len", 20))
     out = Path(out_dir)
     _echo_config(out, {"command": "score", "checkpoint": str(ckpt_path),
                        "data_csv": str(data_csv), "window_len": window_len,
@@ -244,7 +244,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts, scores, per_series = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise dat.DataError(f"{path}: empty scores file")
         for row in reader:
             if not row:
                 continue

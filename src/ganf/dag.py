@@ -1,7 +1,8 @@
 """Differentiable acyclicity constraint and augmented-Lagrangian bookkeeping.
 
 The constraint h(A) = tr(e^{A o A}) - n is zero exactly when the support
-of A is acyclic. Its closed-form gradient is (e^{A o A})^T o 2A.
+of A is acyclic. Its gradient is closed-form, (e^{A o A})^T o 2A, and the
+tape's backward pass reuses the forward exponential to compute it.
 """
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .matexp import expm, matrix_exponential
-from .tensor import ShapeError, Tensor, mul, sub, sum_
+from .matexp import expm
+from .tensor import ShapeError, Tensor, _emit, mul
 
 
 def _check_square(a: np.ndarray):
@@ -35,11 +36,11 @@ def acyclicity_grad(a: np.ndarray) -> np.ndarray:
 
 
 def acyclicity_tensor(a: Tensor) -> Tensor:
-    """h(A) as a tape expression, so dL/dA flows through the constraint."""
-    _check_square(a.data)
-    n = a.shape[0]
-    e = matrix_exponential(mul(a, a))
-    return sub(sum_(mul(e, Tensor(np.eye(n)))), Tensor(float(n)))
+    """h(A) as one tape op whose VJP g * (E^T o 2A) reuses the forward E = e^{A o A}."""
+    ad = a.data
+    _check_square(ad)
+    e = expm(ad * ad)
+    return _emit([a], np.trace(e) - ad.shape[0], lambda g: (g * (e.T * (2.0 * ad)),))
 
 
 @dataclass(frozen=True)

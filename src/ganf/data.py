@@ -339,9 +339,9 @@ def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     starts, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["window_start", "label"]:
-            raise DataError(f"{path}: expected header 'window_start,label'")
+        header = next(reader, None)
+        if header is None or header[:2] != ["window_start", "label"]:
+            raise DataError(f"{path}: expected header 'window_start,label', got {header}")
         for row in reader:
             if not row:
                 continue

@@ -1,8 +1,8 @@
-"""Matrix exponential via scaling-and-squaring, differentiable on the tape.
+"""Matrix exponential via scaling-and-squaring with a degree-13 Pade core.
 
-The backward pass uses the block-matrix identity for the adjoint of the
-Frechet derivative: the upper-right block of expm([[M^T, G], [0, M^T]])
-equals the vector-Jacobian product of expm at M applied to G.
+Only the forward value is needed: the one differentiable use, the
+acyclicity constraint in :mod:`ganf.dag`, has a closed-form gradient
+built from this same exponential.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _emit
+from .tensor import ShapeError
 
 # Pade-13 numerator coefficients (Higham's scaling-and-squaring method)
 _B13 = (
@@ -62,19 +62,3 @@ def expm_series(m: np.ndarray, terms: int = 20) -> np.ndarray:
         out = out + term
     return out
 
-
-def expm_vjp(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint Frechet derivative of expm at M applied to G."""
-    n = m.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = m.T
-    block[n:, n:] = m.T
-    block[:n, n:] = g
-    return expm(block)[:n, n:]
-
-
-def matrix_exponential(m: Tensor) -> Tensor:
-    """Differentiable e^M for a square tape tensor."""
-    _check_square(m.data, "matrix_exponential")
-    md = m.data
-    return _emit([m], expm(md), lambda g: (expm_vjp(md, g),))

@@ -7,9 +7,19 @@ bookkeeping cost.
 """
 from __future__ import annotations
 
+import ctypes
+import sys
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+if sys.platform.startswith("linux"):
+    # Replaying a tape frees a training step's activations at once. Keep them in the
+    # heap, which glibc would unmap or trim, so the next step does not fault them in.
+    _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if _mallopt is not None:
+        _mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+        _mallopt(-1, 512 << 20)   # M_TRIM_THRESHOLD
 
 
 class ShapeError(ValueError):
@@ -169,6 +179,10 @@ class GradientTape:
                     flowing[id(inp)] = gin if prev is None else prev + gin
                 else:
                     inp.grad = gin.copy() if inp.grad is None else inp.grad + gin
+        # recorded tensors point back at this tape: dropping the records breaks
+        # that cycle, so the activations are freed without waiting for a full GC
+        self._records.clear()
+        self._produced.clear()
 
 
 def backward(loss: Tensor):
@@ -258,12 +272,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: e^-|x| cannot overflow
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _emit([a], out, lambda g: (g * out * (1.0 - out),))
 
 

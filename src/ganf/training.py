@@ -205,7 +205,8 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
         state.lr = config.lr
         state.stale_epochs = 0
         inner_optimize(state, train_windows, val_windows, config, rng)
-        h_now = acyclicity(model.adjacency.data)
+        # A has not changed since the last epoch record computed h from it
+        h_now = state.history[-1]["h"]
         state.lagrangian = dual_penalty_update(
             state.lagrangian, h_now, eta=config.eta, gamma=config.gamma)
         state.history.append({

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from ganf.cli import main, read_scores_csv
-from ganf.data import SynthSpec
+from ganf.data import DataError, SynthSpec
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +164,19 @@ def test_score_shape_mismatch_names_adjacency(runner, trained_dir, tmp_path):
     assert "'A'" in res.output and "n=3" in res.output
 
 
+@pytest.mark.parametrize("flag,value", [("--stride", "0"), ("--window-len", "0"),
+                                        ("--stride", "-3"), ("--window-len", "-1")])
+def test_score_nonpositive_window_setting_exit_2(runner, synth_dir, trained_dir,
+                                                 tmp_path, flag, value):
+    res = runner.invoke(main, ["score", "--checkpoint",
+                               str(trained_dir / "checkpoint.ganf"),
+                               "--data", str(synth_dir / "series.csv"),
+                               flag, value, "--out", str(tmp_path / "s")])
+    assert res.exit_code == 2, res.output
+    assert flag in res.output
+    assert not (tmp_path / "s" / "resolved_config.json").exists()
+
+
 def test_eval_hard_labels(runner, synth_dir, trained_dir, tmp_path):
     res = runner.invoke(main, ["score", "--checkpoint",
                                str(trained_dir / "checkpoint.ganf"),
@@ -212,6 +225,24 @@ def test_eval_degenerate_labels_exit_1(runner, tmp_path):
                                "--hard", "--out", str(tmp_path / "e")])
     assert res.exit_code == 1
     assert "degenerate" in res.output
+
+
+@pytest.mark.parametrize("empty", ["scores", "labels"])
+def test_eval_empty_input_file_exit_2(runner, tmp_path, empty):
+    (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n10,2.0\n")
+    (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n10,1\n")
+    (tmp_path / f"{empty}.csv").write_text("")
+    res = runner.invoke(main, ["eval", "--scores", str(tmp_path / "scores.csv"),
+                               "--labels", str(tmp_path / "labels.csv"),
+                               "--hard", "--out", str(tmp_path / "e")])
+    assert res.exit_code == 2, res.output
+    assert f"{empty}.csv" in res.output
+
+
+def test_read_scores_csv_empty_raises_data_error(tmp_path):
+    (tmp_path / "scores.csv").write_text("")
+    with pytest.raises(DataError):
+        read_scores_csv(tmp_path / "scores.csv")
 
 
 def test_export_graph_single(runner, trained_dir, tmp_path):

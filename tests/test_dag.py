@@ -4,7 +4,7 @@ import pytest
 from ganf.dag import (LagrangianState, acyclicity, acyclicity_grad,
                       acyclicity_tensor, augmented_lagrangian,
                       dual_penalty_update, is_acyclic, threshold_dag)
-from ganf.tensor import GradientTape, ShapeError, Tensor
+from ganf.tensor import GradientTape, ShapeError, Tensor, mul
 
 
 def test_acyclicity_zero_matrix():
@@ -75,6 +75,53 @@ def test_grad_matches_tape():
         h = acyclicity_tensor(a)
     tape.backward(h)
     np.testing.assert_allclose(a.grad, acyclicity_grad(a0), atol=1e-8)
+
+
+def test_acyclicity_tensor_is_one_tape_op():
+    a = Tensor(np.array([[0.0, 0.5], [0.7, 0.0]]), requires_grad=True)
+    with GradientTape() as tape:
+        acyclicity_tensor(a)
+    assert len(tape) == 1
+
+
+def test_acyclicity_tensor_value_matches_acyclicity_on_cycle():
+    rng = np.random.default_rng(9)
+    a0 = rng.uniform(-1, 1, size=(6, 6))
+    np.fill_diagonal(a0, 0.0)
+    h = acyclicity(a0)
+    assert h > 0.0
+    assert acyclicity_tensor(Tensor(a0)).item() == h
+
+
+def test_acyclicity_tensor_tape_grad_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    a0 = rng.uniform(-1, 1, size=(6, 6))
+    np.fill_diagonal(a0, 0.0)
+    a = Tensor(a0, requires_grad=True)
+    with GradientTape() as tape:
+        # a non-unit upstream gradient exercises the g * (...) scaling
+        loss = mul(Tensor(3.0), acyclicity_tensor(a))
+    tape.backward(loss)
+    step = 1e-6
+    fd = np.zeros_like(a0)
+    for i in range(6):
+        for j in range(6):
+            ap = a0.copy(); ap[i, j] += step
+            am = a0.copy(); am[i, j] -= step
+            fd[i, j] = 3.0 * (acyclicity(ap) - acyclicity(am)) / (2 * step)
+    denom = np.maximum(np.abs(fd), 1e-6)
+    assert np.max(np.abs(a.grad - fd) / denom) < 1e-6
+
+
+def test_acyclicity_tensor_tape_grad_matches_closed_form_at_n64():
+    rng = np.random.default_rng(64)
+    a0 = rng.uniform(-0.2, 0.2, size=(64, 64))
+    np.fill_diagonal(a0, 0.0)
+    a = Tensor(a0, requires_grad=True)
+    with GradientTape() as tape:
+        h = acyclicity_tensor(a)
+    tape.backward(h)
+    np.testing.assert_allclose(a.grad, acyclicity_grad(a0), rtol=1e-12, atol=0.0)
 
 
 def test_augmented_lagrangian_satisfied_constraint():

@@ -224,6 +224,13 @@ def test_labels_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(l, labels)
 
 
+def test_read_labels_csv_empty_raises_data_error(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("")
+    with pytest.raises(DataError):
+        read_labels_csv(path)
+
+
 def test_spec_json_round_trip():
     spec = SynthSpec(n_series=7, rho=0.25, anomaly_type="level-shift")
     again = SynthSpec.from_json(spec.to_json())

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ganf.matexp import expm, expm_series, expm_vjp, matrix_exponential
-from ganf.tensor import GradientTape, ShapeError, Tensor, sum_, mul
+from ganf.matexp import expm, expm_series
+from ganf.tensor import ShapeError
 
 
 def test_expm_zero_is_identity():
@@ -41,39 +41,3 @@ def test_expm_series_agrees_for_small_norm():
     m *= 1.0 / np.linalg.norm(m, np.inf)
     assert np.max(np.abs(expm(m) - expm_series(m, terms=20))) < 1e-10
 
-
-def test_expm_vjp_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    m = rng.normal(size=(4, 4))
-    g = rng.normal(size=(4, 4))
-    got = expm_vjp(m, g)
-    step = 1e-6
-    fd = np.zeros_like(m)
-    for i in range(4):
-        for j in range(4):
-            mp = m.copy(); mp[i, j] += step
-            mm = m.copy(); mm[i, j] -= step
-            fd[i, j] = np.sum(g * (expm(mp) - expm(mm))) / (2 * step)
-    np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-7)
-
-
-def test_matrix_exponential_tape_gradient():
-    rng = np.random.default_rng(3)
-    m0 = rng.normal(size=(3, 3))
-    w = rng.normal(size=(3, 3))
-    m = Tensor(m0, requires_grad=True)
-    with GradientTape() as tape:
-        loss = sum_(mul(matrix_exponential(m), Tensor(w)))
-    tape.backward(loss)
-    np.testing.assert_allclose(m.grad, expm_vjp(m0, w), rtol=1e-12)
-
-
-def test_trace_gradient_is_transpose():
-    # d tr(e^M) / dM = (e^M)^T
-    rng = np.random.default_rng(4)
-    m0 = rng.normal(size=(4, 4))
-    m = Tensor(m0, requires_grad=True)
-    with GradientTape() as tape:
-        loss = sum_(mul(matrix_exponential(m), Tensor(np.eye(4))))
-    tape.backward(loss)
-    np.testing.assert_allclose(m.grad, expm(m0).T, rtol=1e-10, atol=1e-12)
