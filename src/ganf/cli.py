@@ -110,8 +110,8 @@ _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
 @main.command("train")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--mode", type=click.Choice(["graph", "no-graph", "full-chain"]), default=None)
-@click.option("--window-len", type=int, default=None)
-@click.option("--stride", type=int, default=None)
+@click.option("--window-len", type=click.IntRange(min=1), default=None)
+@click.option("--stride", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
@@ -133,6 +133,9 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
         "val_frac": float(cfg.get("val_frac", 0.2)),
         "gap_limit": int(cfg.get("gap_limit", 5)),
     }
+    for key in ("window_len", "stride"):
+        if window_cfg[key] < 1:
+            raise click.UsageError(f"config {key} must be at least 1, got {window_cfg[key]}")
     try:
         train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in _TRAIN_KEYS})
     except (ValueError, TypeError) as exc:

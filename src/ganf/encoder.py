@@ -12,12 +12,11 @@ self-history enters through the H_{t-1} W2 term, never through self-loops.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
-from .tensor import (NumericError, ShapeError, Tensor, add, matmul, mul,
-                     relu, reshape, sigmoid, tanh)
+from .tensor import NumericError, ShapeError, Tensor, _emit, recording
 
 
 class ContractError(ValueError):
@@ -39,7 +38,10 @@ def offdiag_mask(n: int) -> np.ndarray:
 
 
 class LstmCell:
-    """Standard LSTM cell with one shared parameter set for all nodes."""
+    """Standard LSTM cell with one shared parameter set for all nodes.
+
+    The 4 * hidden gate columns are ordered input, forget, cell, output.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
@@ -53,17 +55,6 @@ class LstmCell:
     def parameters(self, prefix: str = "rnn") -> dict[str, Tensor]:
         return {f"{prefix}.w_x": self.w_x, f"{prefix}.w_h": self.w_h,
                 f"{prefix}.b": self.b}
-
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        d = self.hidden_dim
-        gates = add(add(matmul(x, self.w_x), matmul(h, self.w_h)), self.b)
-        i = sigmoid(gates[:, 0 * d:1 * d])
-        f = sigmoid(gates[:, 1 * d:2 * d])
-        g = tanh(gates[:, 2 * d:3 * d])
-        o = sigmoid(gates[:, 3 * d:4 * d])
-        c_new = add(mul(f, c), mul(i, g))
-        h_new = mul(o, tanh(c_new))
-        return h_new, c_new
 
 
 class EncoderParams:
@@ -82,10 +73,30 @@ class EncoderParams:
                 f"{prefix}.w3": self.w3}
 
 
-def encode_hidden(cell: LstmCell, x: np.ndarray) -> list[Tensor]:
-    """Unroll the shared cell over a (B, n, T, D) batch.
+# Inside the unroll the gates sit in their own contiguous (rows, hidden)
+# blocks, ordered input, forget, output, cell so that the three sigmoid
+# gates are adjacent. The order swaps two blocks, so it is its own inverse.
+_ORDER = [0, 1, 3, 2]
+_HALF = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
 
-    Returns a list over t of (B*n, hidden) tensors; zero initial state.
+
+def _split_gates(a: np.ndarray) -> np.ndarray:
+    """(k, 4 * hidden) in parameter order -> (4, k, hidden) in unroll order."""
+    return a.reshape(a.shape[0], 4, -1)[:, _ORDER, :].transpose(1, 0, 2)
+
+
+def _join_gates(a: np.ndarray) -> np.ndarray:
+    """(4, k, hidden) in unroll order -> (k, 4 * hidden) in parameter order."""
+    return a[_ORDER].transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def encode_hidden(cell: LstmCell, x: np.ndarray) -> Tensor:
+    """Unroll the shared cell over a (B, n, T, D) batch as one tape op.
+
+    Returns a (T, B*n, hidden) tensor whose step t is ``out[t]``; zero
+    initial state. The input projection of all steps, bias included, is
+    one GEMM per gate, and sigmoid is computed as 0.5 * (1 + tanh(x / 2)).
+    The backward pass is backpropagation through time over the cached gates.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
@@ -93,40 +104,104 @@ def encode_hidden(cell: LstmCell, x: np.ndarray) -> list[Tensor]:
     b, n, t_len, d_in = x.shape
     if d_in != cell.input_dim:
         raise ShapeError(f"encoder expects {cell.input_dim} attributes, got {d_in}")
-    rows = b * n
-    h = Tensor(np.zeros((rows, cell.hidden_dim)))
-    c = Tensor(np.zeros((rows, cell.hidden_dim)))
-    hidden: list[Tensor] = []
+    rows, hd = b * n, cell.hidden_dim
+    # inputs with a column of ones, so the bias rides in the projection GEMM
+    xs = np.ones((t_len * rows, d_in + 1))
+    xs[:, :d_in] = x.transpose(2, 0, 1, 3).reshape(-1, d_in)
+    w_x = _split_gates(np.vstack([cell.w_x.data, cell.b.data]))
+    w_h = _split_gates(cell.w_h.data)                    # gate k is h @ w_h[k] + ...
+    # the sigmoid gates take tanh(x / 2); halving is exact, so it is folded in
+    pre = np.matmul(xs, w_x * _HALF).reshape(4, t_len, rows, hd)
+    w_h_half = w_h * _HALF
+    # without a tape only the current step is kept
+    kept = t_len if recording(cell.w_x, cell.w_h, cell.b) else 1
+    gates = np.empty((kept, 4, rows, hd))
+    cs = np.empty((kept, rows, hd))
+    tcs = np.empty((kept, rows, hd))
+    hs = np.empty((t_len, rows, hd))
+    h = np.zeros((rows, hd))
+    c = np.zeros((rows, hd))
     for t in range(t_len):
-        step_in = Tensor(np.ascontiguousarray(x[:, :, t, :].reshape(rows, d_in)))
-        h, c = cell.step(step_in, h, c)
-        if not np.all(np.isfinite(h.data)):
-            bad = np.argwhere(~np.isfinite(h.data))[0]
-            raise NumericError(f"non-finite hidden state at node row {bad[0]}, t={t}")
-        hidden.append(h)
-    return hidden
+        k = t % kept
+        y = gates[k]
+        np.matmul(h, w_h_half, out=y)
+        y += pre[:, t]
+        np.tanh(y, out=y)
+        y[:3] *= 0.5
+        y[:3] += 0.5
+        c = np.multiply(y[1], c, out=cs[k])
+        c += y[0] * y[3]
+        np.tanh(c, out=tcs[k])
+        h = np.multiply(y[2], tcs[k], out=hs[t])
+    if not np.all(np.isfinite(hs)):
+        t, row = np.argwhere(~np.isfinite(hs))[0][:2]
+        raise NumericError(f"non-finite hidden state at node row {row}, t={t}")
+
+    def vjp(g):
+        dy = np.empty((4, t_len, rows, hd))
+        dh = np.zeros((rows, hd))
+        dc = np.zeros((rows, hd))
+        for t in range(t_len - 1, -1, -1):
+            y, tc, d = gates[t], tcs[t], dy[:, t]
+            dh += g[t]
+            dc += dh * y[2] * (1.0 - tc * tc)
+            np.multiply(dc, y[3], out=d[0])
+            if t:
+                np.multiply(dc, cs[t - 1], out=d[1])
+            else:
+                d[1] = 0.0
+            np.multiply(dh, tc, out=d[2])
+            np.multiply(dc, y[0], out=d[3])
+            d[:3] *= y[:3] * (1.0 - y[:3])
+            d[3] *= 1.0 - y[3] * y[3]
+            dh = np.tensordot(d, w_h, axes=([0, 2], [0, 2]))
+            dc *= y[1]
+        g_wx = _join_gates(np.matmul(xs.T, dy.reshape(4, -1, hd)))
+        g_wh = np.matmul(hs[:-1].reshape(-1, hd).T, dy[:, 1:].reshape(4, -1, hd))
+        return g_wx[:d_in], _join_gates(g_wh), g_wx[d_in]
+
+    return _emit([cell.w_x, cell.w_h, cell.b], hs, vjp)
 
 
-def encode_dependencies(params: EncoderParams, hidden: list[Tensor],
-                        a: Tensor, batch: int, n: int) -> list[Tensor]:
-    """Dependency vectors D_t = ReLU(A H_t W1 + H_{t-1} W2) W3 per time step.
+def encode_dependencies(params: EncoderParams, hidden: Tensor | Sequence[Tensor],
+                        a: Tensor, batch: int, n: int) -> Tensor:
+    """Dependency vectors D_t = ReLU(A H_t W1 + H_{t-1} W2) W3 for all t as one tape op.
 
-    ``a`` is the (n, n) adjacency tensor; its diagonal must already be
-    masked to zero. Returns a list over t of (B*n, hidden) tensors.
+    ``hidden`` is the (T, B*n, hidden) output of :func:`encode_hidden` or a
+    sequence of T (B*n, hidden) tensors. ``a`` is the (n, n) adjacency
+    tensor; its diagonal must already be masked to zero. Returns a
+    (T, B*n, hidden) tensor.
     """
     if a.shape != (n, n):
         raise ShapeError(f"adjacency shape {a.shape} does not match n={n}")
     if np.any(np.diag(a.data) != 0.0):
         raise ContractError("adjacency diagonal must be zero (masked) before aggregation")
     d = params.hidden_dim
-    h_prev: Optional[Tensor] = None
-    out: list[Tensor] = []
-    for h_flat in hidden:
-        h_t = reshape(h_flat, (batch, n, d))
-        pre = matmul(matmul(a, h_t), params.w1)
-        if h_prev is not None:
-            pre = add(pre, matmul(h_prev, params.w2))
-        dep = matmul(relu(pre), params.w3)
-        out.append(reshape(dep, (batch * n, d)))
-        h_prev = h_t
-    return out
+    stacked = isinstance(hidden, Tensor)
+    steps = [hidden] if stacked else list(hidden)
+    h = hidden.data if stacked else np.stack([s.data for s in steps])
+    if h.ndim != 3 or h.shape[1:] != (batch * n, d):
+        raise ShapeError(f"hidden states shaped {h.shape[1:]} per step, "
+                         f"expected {(batch * n, d)}")
+    t_len = h.shape[0]
+    ad, w1, w2, w3 = a.data, params.w1.data, params.w2.data, params.w3.data
+    hn = h.reshape(t_len, batch, n, d)
+    ah = np.matmul(ad, hn).reshape(-1, d)           # A H_t for every t in one matmul
+    pre = (ah @ w1).reshape(h.shape)
+    pre[1:] += h[:-1] @ w2                           # H_0 = 0: step 0 has no history term
+    r = np.maximum(pre, 0.0).reshape(-1, d)
+
+    def vjp(g):
+        g = g.reshape(-1, d)
+        g_pre = (g @ w3.T) * (r > 0)
+        g_ah = (g_pre @ w1.T).reshape(hn.shape)
+        g_pre = g_pre.reshape(h.shape)
+        g_h = np.matmul(ad.T, g_ah).reshape(h.shape)
+        g_h[:-1] += g_pre[1:] @ w2.T
+        g_a = np.tensordot(g_ah, hn, axes=([0, 1, 3], [0, 1, 3]))
+        g_w2 = h[:-1].reshape(-1, d).T @ g_pre[1:].reshape(-1, d)
+        g_hidden = (g_h,) if stacked else tuple(g_h)
+        return (*g_hidden, g_a, ah.T @ g_pre.reshape(-1, d), g_w2, r.T @ g)
+
+    return _emit([*steps, a, params.w1, params.w2, params.w3],
+                 (r @ w3).reshape(h.shape), vjp)

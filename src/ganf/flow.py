@@ -4,16 +4,19 @@ coupling) and their stacking with exact log-density.
 Every block maps (x in R^D, condition in R^c) -> (z in R^D, logdet) with
 z_i = (x_i - mu_i) * exp(alpha_i). Final mu/alpha layers are zero-initialized
 so each block starts as the identity; alpha is soft-clamped to +-ALPHA_CLAMP.
+
+The forward pass runs in NumPy (each block's ``_mu_alpha_np``) and is
+recorded as one tape op per call, whose backward pass walks the blocks in
+reverse with each block's hand-written ``_vjp``.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .tensor import (GradientTape, NumericError, ShapeError, Tensor, add,
-                     concat, exp, flip, matmul, mul, relu, sub, sum_, tanh)
+from .tensor import NumericError, ShapeError, Tensor, _emit, recording
 
 ALPHA_CLAMP = 5.0
 LOG_2PI = math.log(2.0 * math.pi)
@@ -24,14 +27,14 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _clamp_alpha(a: Tensor) -> Tensor:
-    # s * tanh(a / s): smooth, bounded log-scales
-    s = ALPHA_CLAMP
-    return mul(Tensor(s), tanh(mul(a, Tensor(1.0 / s))))
-
-
 def _clamp_alpha_np(a: np.ndarray) -> np.ndarray:
+    # s * tanh(a / s): smooth, bounded log-scales
     return ALPHA_CLAMP * np.tanh(a / ALPHA_CLAMP)
+
+
+def _clamp_grad(alpha: np.ndarray) -> np.ndarray:
+    """Derivative of the clamp, from its output: 1 - (alpha / s)^2."""
+    return 1.0 - (alpha / ALPHA_CLAMP) ** 2
 
 
 def _made_masks(input_dim: int, hidden: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,8 +54,55 @@ def _made_masks(input_dim: int, hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return mask_in, mask_out
 
 
-class MafBlock:
+class _Block:
+    """What MAF and coupling blocks share: parameters, the conditioner and its VJP.
+
+    The conditioner is h = ReLU([x, d, 1] @ w_in), [mu, pre-alpha] = h @ w_out
+    + b_out, with each block's masks folded into ``_weights``. Putting the
+    bias in the GEMM as a column of ones spares a pass over the rows.
+    """
+
+    _PARAMS: tuple[str, ...] = ()
+    input_dim: int
+
+    def parameters(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.{k}": getattr(self, k) for k in self._PARAMS}
+
+    def forward(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
+        """(z, logdet) of this block alone."""
+        return _forward_ops([self], False, x, d)
+
+    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w_in, w_out, b_out) with the block's masks applied."""
+        raise NotImplementedError
+
+    def _param_grads(self, g_w_in, g_w_out, g_b_out) -> tuple[np.ndarray, ...]:
+        """Gradients of ``_weights``' outputs mapped onto ``_PARAMS``."""
+        raise NotImplementedError
+
+    def _mu_alpha_np(self, x: np.ndarray, d: np.ndarray):
+        """(mu, alpha, cache for ``_vjp``) of the conditioner."""
+        inp = np.hstack([x, d, np.ones((x.shape[0], 1))])
+        w_in, w_out, b_out = self._weights()
+        h = np.maximum(inp @ w_in, 0.0)
+        out = h @ w_out + b_out
+        dim = self.input_dim
+        return out[:, :dim], _clamp_alpha_np(out[:, dim:]), (inp, h, w_in, w_out)
+
+    def _vjp(self, cache, alpha, g_mu, g_alpha):
+        """(dL/dx, dL/dd, parameter grads) through the conditioner alone."""
+        inp, h, w_in, w_out = cache
+        g_out = np.hstack([g_mu, g_alpha * _clamp_grad(alpha)])
+        g_h = (g_out @ w_out.T) * (h > 0)
+        g_inp = g_h @ w_in[:-1].T
+        grads = self._param_grads(inp.T @ g_h, h.T @ g_out, g_out.sum(axis=0))
+        return g_inp[:, :self.input_dim], g_inp[:, self.input_dim:], grads
+
+
+class MafBlock(_Block):
     """One masked autoregressive transform conditioned on a context vector."""
+
+    _PARAMS = ("w_x", "w_c", "b_h", "w_mu", "b_mu", "w_a", "b_a")
 
     def __init__(self, input_dim: int, cond_dim: int, hidden: int,
                  rng: np.random.Generator):
@@ -70,41 +120,29 @@ class MafBlock:
         self.w_a = Tensor(np.zeros((hidden, input_dim)), requires_grad=True)
         self.b_a = Tensor(np.zeros(input_dim), requires_grad=True)
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{k}": v for k, v in
-                (("w_x", self.w_x), ("w_c", self.w_c), ("b_h", self.b_h),
-                 ("w_mu", self.w_mu), ("b_mu", self.b_mu),
-                 ("w_a", self.w_a), ("b_a", self.b_a))}
+    def _weights(self):
+        w_in = np.vstack([self.w_x.data * self.mask_in, self.w_c.data, self.b_h.data])
+        w_out = np.hstack([self.w_mu.data, self.w_a.data]) * np.tile(self.mask_out, 2)
+        return w_in, w_out, np.concatenate([self.b_mu.data, self.b_a.data])
 
-    def _mu_alpha(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
-        h = relu(add(add(matmul(x, mul(self.w_x, Tensor(self.mask_in))),
-                         matmul(d, self.w_c)), self.b_h))
-        mu = add(matmul(h, mul(self.w_mu, Tensor(self.mask_out))), self.b_mu)
-        alpha = _clamp_alpha(add(matmul(h, mul(self.w_a, Tensor(self.mask_out))), self.b_a))
-        return mu, alpha
-
-    def _mu_alpha_np(self, x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = np.maximum(x @ (self.w_x.data * self.mask_in)
-                       + d @ self.w_c.data + self.b_h.data, 0.0)
-        mu = h @ (self.w_mu.data * self.mask_out) + self.b_mu.data
-        alpha = _clamp_alpha_np(h @ (self.w_a.data * self.mask_out) + self.b_a.data)
-        return mu, alpha
-
-    def forward(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
-        mu, alpha = self._mu_alpha(x, d)
-        z = mul(sub(x, mu), exp(alpha))
-        return z, sum_(alpha, axis=-1)
+    def _param_grads(self, g_w_in, g_w_out, g_b_out):
+        dim = self.input_dim
+        return (g_w_in[:dim] * self.mask_in, g_w_in[dim:-1], g_w_in[-1],
+                g_w_out[:, :dim] * self.mask_out, g_b_out[:dim],
+                g_w_out[:, dim:] * self.mask_out, g_b_out[dim:])
 
     def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         x = np.zeros_like(z)
         for i in range(self.input_dim):
-            mu, alpha = self._mu_alpha_np(x, d)
+            mu, alpha, _ = self._mu_alpha_np(x, d)
             x[:, i] = z[:, i] * np.exp(-alpha[:, i]) + mu[:, i]
         return x
 
 
-class CouplingBlock:
+class CouplingBlock(_Block):
     """Affine coupling transform: half the coordinates pass through unchanged."""
+
+    _PARAMS = ("w_h", "b_h", "w_mu", "b_mu", "w_a", "b_a")
 
     def __init__(self, input_dim: int, cond_dim: int, hidden: int,
                  rng: np.random.Generator, parity: int = 0):
@@ -119,37 +157,97 @@ class CouplingBlock:
         self.w_a = Tensor(np.zeros((hidden, input_dim)), requires_grad=True)
         self.b_a = Tensor(np.zeros(input_dim), requires_grad=True)
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{k}": v for k, v in
-                (("w_h", self.w_h), ("b_h", self.b_h),
-                 ("w_mu", self.w_mu), ("b_mu", self.b_mu),
-                 ("w_a", self.w_a), ("b_a", self.b_a))}
+    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
+        # the conditioner sees the frozen coordinates and the condition, and
+        # moves only the active coordinates
+        seen = np.concatenate([self.mask, np.ones(self.cond_dim)])[:, None]
+        return seen, np.tile(1.0 - self.mask, 2)
 
-    def _mu_alpha(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
-        frozen = mul(x, Tensor(self.mask))
-        h = relu(add(matmul(concat([frozen, d], axis=1), self.w_h), self.b_h))
-        active = Tensor(1.0 - self.mask)
-        mu = mul(add(matmul(h, self.w_mu), self.b_mu), active)
-        alpha = mul(_clamp_alpha(add(matmul(h, self.w_a), self.b_a)), active)
-        return mu, alpha
+    def _weights(self):
+        seen, active = self._masks()
+        w_out = np.hstack([self.w_mu.data, self.w_a.data]) * active
+        return (np.vstack([self.w_h.data * seen, self.b_h.data]), w_out,
+                np.concatenate([self.b_mu.data, self.b_a.data]) * active)
 
-    def _mu_alpha_np(self, x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = np.maximum(np.concatenate([x * self.mask, d], axis=1) @ self.w_h.data
-                       + self.b_h.data, 0.0)
-        active = 1.0 - self.mask
-        mu = (h @ self.w_mu.data + self.b_mu.data) * active
-        alpha = _clamp_alpha_np(h @ self.w_a.data + self.b_a.data) * active
-        return mu, alpha
-
-    def forward(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
-        mu, alpha = self._mu_alpha(x, d)
-        z = mul(sub(x, mu), exp(alpha))
-        return z, sum_(alpha, axis=-1)
+    def _param_grads(self, g_w_in, g_w_out, g_b_out):
+        seen, active = self._masks()
+        g_w_out, g_b_out, dim = g_w_out * active, g_b_out * active, self.input_dim
+        return (g_w_in[:-1] * seen, g_w_in[-1], g_w_out[:, :dim], g_b_out[:dim],
+                g_w_out[:, dim:], g_b_out[dim:])
 
     def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         # mu/alpha depend only on the frozen half, which z carries unchanged
-        mu, alpha = self._mu_alpha_np(z, d)
+        mu, alpha, _ = self._mu_alpha_np(z, d)
         return z * np.exp(-alpha) + mu
+
+
+def _run(blocks: Sequence[_Block], flip: bool, x: np.ndarray, d: np.ndarray,
+         keep: bool):
+    """(z, summed logdet, per-block caches) of ``blocks`` applied in order.
+
+    The coordinates are reversed between blocks when ``flip``; caches are
+    collected only when ``keep``.
+    """
+    logdet = np.zeros(x.shape[0])
+    caches = []
+    for k, block in enumerate(blocks):
+        mu, alpha, cache = block._mu_alpha_np(x, d)
+        e = np.exp(alpha)
+        z = (x - mu) * e
+        if not np.all(np.isfinite(z)):
+            raise NumericError(f"non-finite flow output at block {k}")
+        logdet = logdet + alpha.sum(axis=-1)
+        if keep:
+            caches.append((cache, alpha, e, z))
+        x = z[:, ::-1].copy() if flip and k + 1 < len(blocks) else z
+    return x, logdet, caches
+
+
+def _run_vjp(blocks: Sequence[_Block], flip: bool, caches, d: np.ndarray,
+             g_z: np.ndarray, g_logdet: np.ndarray):
+    """Walk ``blocks`` in reverse: (dL/dx, dL/dd, parameter grads in order)."""
+    g_d = np.zeros_like(d)
+    grads: list[np.ndarray] = []
+    for k in range(len(blocks) - 1, -1, -1):
+        if flip and k + 1 < len(blocks):
+            g_z = g_z[:, ::-1]
+        cache, alpha, e, z = caches[k]
+        g_x, g_dk, g_params = blocks[k]._vjp(cache, alpha, -g_z * e,
+                                             g_z * z + g_logdet[:, None])
+        g_d += g_dk
+        g_z = g_z * e + g_x
+        grads[:0] = g_params
+    return g_z, g_d, grads
+
+
+def _params(blocks: Sequence[_Block]) -> list[Tensor]:
+    return [getattr(block, k) for block in blocks for k in block._PARAMS]
+
+
+def _recording(blocks: Sequence[_Block], x: Tensor, d: Tensor) -> bool:
+    return recording(x, d, *_params(blocks))
+
+
+def _emit_run(blocks: Sequence[_Block], flip: bool, x: Tensor, d: Tensor,
+              out: np.ndarray, caches,
+              upstream: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> Tensor:
+    """Record ``out`` as one op; ``upstream`` maps its gradient to (dL/dz, dL/dlogdet)."""
+
+    def vjp(g):
+        g_x, g_d, grads = _run_vjp(blocks, flip, caches, d.data, *upstream(g))
+        return (g_x, g_d, *grads)
+
+    return _emit([x, d, *_params(blocks)], out, vjp)
+
+
+def _forward_ops(blocks: Sequence[_Block], flip: bool, x: Tensor,
+                 d: Tensor) -> tuple[Tensor, Tensor]:
+    """(z, logdet) of ``blocks`` as two tape ops that share one forward pass."""
+    z, logdet, caches = _run(blocks, flip, x.data, d.data, _recording(blocks, x, d))
+    z_t = _emit_run(blocks, flip, x, d, z, caches,
+                    lambda g: (g, np.zeros_like(logdet)))
+    return z_t, _emit_run(blocks, flip, x, d, logdet, caches,
+                          lambda g: (np.zeros_like(z), g))
 
 
 class FlowStack:
@@ -180,6 +278,10 @@ class FlowStack:
             out.update(b.parameters(f"{prefix}.block{k}"))
         return out
 
+    @property
+    def _flip(self) -> bool:
+        return self.input_dim > 1
+
     def _check(self, x_cols: int, d_cols: int):
         if x_cols != self.input_dim:
             raise ShapeError(f"flow expects {self.input_dim} input dims, got {x_cols}")
@@ -189,37 +291,35 @@ class FlowStack:
     def forward(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
         """(z, total logdet) for a batch of rows."""
         self._check(x.shape[-1], d.shape[-1])
-        logdet: Optional[Tensor] = None
-        for k, block in enumerate(self.blocks):
-            x, ld = block.forward(x, d)
-            if not np.all(np.isfinite(x.data)):
-                raise NumericError(f"non-finite flow output at block {k}")
-            logdet = ld if logdet is None else add(logdet, ld)
-            if k + 1 < len(self.blocks) and self.input_dim > 1:
-                x = flip(x, axis=-1)
-        return x, logdet
+        return _forward_ops(self.blocks, self._flip, x, d)
 
     def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
         self._check(z.shape[-1], d.shape[-1])
         for k in range(len(self.blocks) - 1, -1, -1):
-            if k + 1 < len(self.blocks) and self.input_dim > 1:
+            if k + 1 < len(self.blocks) and self._flip:
                 z = z[:, ::-1].copy()
             z = self.blocks[k].inverse(z, d)
         return z
 
+    def _log_q(self, z: np.ndarray) -> np.ndarray:
+        return -0.5 * self.input_dim * LOG_2PI - 0.5 * (z * z).sum(axis=-1)
+
     def log_prob(self, x: Tensor, d: Tensor) -> Tensor:
-        """log p(x | d) = log N(f(x; d); 0, I) + sum of block logdets."""
-        z, logdet = self.forward(x, d)
-        z_sq = sum_(mul(z, z), axis=-1)
-        log_q = sub(Tensor(-0.5 * self.input_dim * LOG_2PI),
-                    mul(Tensor(0.5), z_sq))
-        return add(log_q, logdet)
+        """log p(x | d) = log N(f(x; d); 0, I) + sum of block logdets, as one tape op."""
+        self._check(x.shape[-1], d.shape[-1])
+        z, logdet, caches = _run(self.blocks, self._flip, x.data, d.data,
+                                 _recording(self.blocks, x, d))
+        return _emit_run(self.blocks, self._flip, x, d, self._log_q(z) + logdet, caches,
+                         lambda g: (-g[:, None] * z, g))
 
     def log_prob_np(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return self.log_prob(Tensor(np.asarray(x, dtype=np.float64)),
-                             Tensor(np.asarray(d, dtype=np.float64))).data
+        x = np.asarray(x, dtype=np.float64)
+        d = np.asarray(d, dtype=np.float64)
+        self._check(x.shape[-1], d.shape[-1])
+        z, logdet, _ = _run(self.blocks, self._flip, x, d, False)
+        return self._log_q(z) + logdet
 
     def sample(self, count: int, d: np.ndarray, seed: int) -> np.ndarray:
         """Draw count rows by inverting base-distribution samples; deterministic per seed."""

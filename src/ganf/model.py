@@ -16,8 +16,8 @@ import numpy as np
 from .encoder import (EncoderParams, LstmCell, encode_dependencies,
                       encode_hidden, offdiag_mask)
 from .flow import FlowStack
-from .tensor import (GradientTape, NumericError, ShapeError, Tensor, concat,
-                     mul, reshape, sum_, transpose)
+from .tensor import (NumericError, ShapeError, Tensor, mul, reshape, sum_,
+                     transpose)
 
 MODES = ("graph", "no-graph", "full-chain")
 
@@ -117,7 +117,7 @@ class GanfModel:
         deps = encode_dependencies(self.enc, hidden, a_masked, b, n)
         x_rows = Tensor(np.ascontiguousarray(
             x.transpose(2, 0, 1, 3).reshape(t_len * b * n, d_in)))
-        d_rows = concat(deps, axis=0)  # t-major, matching x_rows
+        d_rows = reshape(deps, (t_len * b * n, self.hidden_dim))  # t-major, matching x_rows
         lp = self.flow.log_prob(x_rows, d_rows)          # (T*B*n,)
         lp = reshape(lp, (t_len, b, n))
         return transpose(lp, (1, 2, 0))                  # (B, n, T)

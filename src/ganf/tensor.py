@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import sys
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,19 @@ class TapeStateError(RuntimeError):
     """Tape used in an invalid state (replayed twice, empty, nested)."""
 
 
-_ACTIVE_TAPE: Optional["GradientTape"] = None
+# per thread (and per asyncio task): a thread that scores while another
+# records never appends onto the recording thread's tape
+_ACTIVE_TAPE: ContextVar[Optional["GradientTape"]] = ContextVar("ganf_active_tape",
+                                                                 default=None)
+
+
+def recording(*inputs: "Tensor") -> bool:
+    """Whether an op on ``inputs`` would be recorded (any tape, if none are given).
+
+    Fused ops ask this before caching activations for their backward pass.
+    """
+    return _ACTIVE_TAPE.get() is not None and (
+        not inputs or any(t.requires_grad for t in inputs))
 
 
 class Tensor:
@@ -69,11 +82,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def check_finite(self, context: str = "tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError(f"non-finite values in {context}")
-        return self
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -106,6 +114,15 @@ class Tensor:
     def __getitem__(self, key):
         return slice_(self, key)
 
+    # a stacked (T, ...) tensor reads like a sequence of its T steps
+    def __len__(self):
+        if not self.ndim:
+            raise TypeError("len() of a 0-d tensor")
+        return self.shape[0]
+
+    def __iter__(self):
+        return (slice_(self, i) for i in range(len(self)))
+
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -132,17 +149,17 @@ class GradientTape:
         self._records: list[_OpRecord] = []
         self._consumed = False
         self._produced: set[int] = set()
+        self._token = None
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise TapeStateError("nested gradient tapes are not supported")
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.reset(self._token)
+        self._token = None
         return False
 
     def __len__(self):
@@ -196,9 +213,10 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        out._tape = _ACTIVE_TAPE
-        _ACTIVE_TAPE._append(_OpRecord(tuple(inputs), out, vjp))
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None and out.requires_grad:
+        out._tape = tape
+        tape._append(_OpRecord(tuple(inputs), out, vjp))
     return out
 
 
@@ -247,8 +265,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
+        # a 2-D operand shared across a batch gets its gradient from one
+        # contraction, not from a stack of per-item products summed afterwards
+        if a.ndim == 2 < b.ndim:
+            axes = [*range(g.ndim - 2), g.ndim - 1]
+            ga = np.tensordot(g, bd, axes=(axes, axes))
+        else:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
+        if b.ndim == 2 < a.ndim:
+            axes = list(range(g.ndim - 1))
+            gb = np.tensordot(ad, g, axes=(axes, axes))
+        else:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
         return ga, gb
 
     return _emit([a, b], np.matmul(ad, bd), vjp)
@@ -348,8 +376,3 @@ def slice_(a: Tensor, key) -> Tensor:
         return (full,)
 
     return _emit([a], np.array(out, copy=True), vjp)
-
-
-def no_tape_data(t: Tensor) -> np.ndarray:
-    """The raw array, for numpy-side code that must not touch the tape."""
-    return t.data

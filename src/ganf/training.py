@@ -13,6 +13,7 @@ import numpy as np
 
 from .dag import (LagrangianState, acyclicity, augmented_lagrangian,
                   dual_penalty_update)
+from .data import DataError
 from .model import GanfModel
 from .tensor import GradientTape, NumericError, Tensor
 
@@ -185,8 +186,12 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
     """Full outer loop; returns (best model, adjacency, history).
 
     Stops when |h(A)| < h_tol or after ``max_outer_iters`` outer iterations
-    (the latter flagged in the history).
+    (the latter flagged in the history). Raises :class:`DataError` when
+    there are no training windows.
     """
+    if train_windows.shape[0] == 0:
+        raise DataError("no training windows: the series is too short for the "
+                        "window length, stride and train fraction")
     rng = np.random.default_rng(config.seed)
     n_series = train_windows.shape[1]
     input_dim = train_windows.shape[3]

@@ -177,6 +177,44 @@ def test_score_nonpositive_window_setting_exit_2(runner, synth_dir, trained_dir,
     assert not (tmp_path / "s" / "resolved_config.json").exists()
 
 
+def _train_config(synth_dir, **kw):
+    cfg = {"data_csv": str(synth_dir / "series.csv"), "window_len": 10,
+           "stride": 10, "flow_blocks": 2, "hidden_dim": 4, "flow_hidden": 8,
+           "inner_epochs": 1, "max_outer_iters": 1, "batch_size": 8, "seed": 0}
+    cfg.update(kw)
+    return cfg
+
+
+@pytest.mark.parametrize("flag,value", [("--stride", "0"), ("--window-len", "0"),
+                                        ("--stride", "-3"), ("--window-len", "-1")])
+def test_train_nonpositive_window_flag_exit_2(runner, synth_dir, tmp_path, flag, value):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir)))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               flag, value, "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert flag in res.output
+    assert not (tmp_path / "t" / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [("stride", 0), ("window_len", 0),
+                                       ("stride", -2), ("window_len", -5)])
+def test_train_nonpositive_window_config_exit_2(runner, synth_dir, tmp_path, key, value):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, **{key: value})))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert key in res.output
+    assert not (tmp_path / "t" / "resolved_config.json").exists()
+
+
+def test_train_no_training_windows_exit_2(runner, synth_dir, tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, train_frac=0.0)))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert "no training windows" in res.output
+
+
 def test_eval_hard_labels(runner, synth_dir, trained_dir, tmp_path):
     res = runner.invoke(main, ["score", "--checkpoint",
                                str(trained_dir / "checkpoint.ganf"),

@@ -4,7 +4,8 @@ import pytest
 from ganf.encoder import (ContractError, EncoderParams, LstmCell,
                           encode_dependencies, encode_hidden, masked_diag,
                           offdiag_mask)
-from ganf.tensor import ShapeError, Tensor
+from ganf.tensor import GradientTape, ShapeError, Tensor, concat, mul, sum_
+from tape_reference import aggregate, lstm_step, lstm_unroll
 
 
 def _rng(seed=0):
@@ -55,7 +56,7 @@ def test_hidden_t1_equals_single_step():
     hidden = encode_hidden(cell, x)
     h0 = Tensor(np.zeros((1, 4)))
     c0 = Tensor(np.zeros((1, 4)))
-    h1, _ = cell.step(Tensor(x[0, :, 0, :]), h0, c0)
+    h1, _ = lstm_step(cell, Tensor(x[0, :, 0, :]), h0, c0)
     np.testing.assert_allclose(hidden[0].data, h1.data)
 
 
@@ -167,3 +168,75 @@ def test_node_permutation_equivariance():
     px = x[:, perm]
     pd = _deps(cell, enc, px, pa)
     np.testing.assert_allclose(pd, base[:, perm], atol=1e-12)
+
+
+def _perturbed_encoder(d_in, hidden, seed):
+    rng = _rng(seed)
+    cell = LstmCell(d_in, hidden, rng)
+    enc = EncoderParams(hidden, rng)
+    for p in (*cell.parameters().values(), *enc.parameters().values()):
+        p.data += rng.normal(size=p.shape) * 0.3
+    return cell, enc
+
+
+def _grads(tensors, loss_of):
+    for t in tensors:
+        t.zero_grad()
+    with GradientTape() as tape:
+        loss = loss_of()
+    tape.backward(loss)
+    return [t.grad.copy() for t in tensors]
+
+
+def _assert_close(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("d_in", [1, 2])
+def test_fused_lstm_matches_tape_reference(d_in):
+    cell, _ = _perturbed_encoder(d_in, 5, 20 + d_in)
+    x = _rng(30).normal(size=(2, 3, 6, d_in))
+    weights = Tensor(_rng(31).normal(size=(6, 6, 5)))      # (T, B*n, hidden)
+    fused = encode_hidden(cell, x)
+    ref = lstm_unroll(cell, x)
+    assert fused.shape == (6, 6, 5)
+    _assert_close([h.data for h in fused], [h.data for h in ref])
+    params = list(cell.parameters().values())
+    _assert_close(
+        _grads(params, lambda: sum_(mul(encode_hidden(cell, x), weights))),
+        _grads(params, lambda: sum_(mul(concat(lstm_unroll(cell, x), axis=0),
+                                        Tensor(weights.data.reshape(36, 5))))))
+
+
+@pytest.mark.parametrize("d_in", [1, 2])
+def test_fused_aggregation_matches_tape_reference(d_in):
+    cell, enc = _perturbed_encoder(d_in, 4, 40 + d_in)
+    b, n, t_len = 2, 3, 5
+    x = _rng(50).normal(size=(b, n, t_len, d_in))
+    a = Tensor(masked_diag(_rng(51).normal(size=(n, n))), requires_grad=True)
+    hidden = [Tensor(h.data, requires_grad=True) for h in encode_hidden(cell, x)]
+    weights = _rng(52).normal(size=(t_len, b * n, 4))
+    ref = aggregate(enc, hidden, a, b, n)
+    _assert_close([d.data for d in encode_dependencies(enc, hidden, a, b, n)],
+                  [d.data for d in ref])
+    leaves = [a, *enc.parameters().values(), *hidden]
+    want = _grads(leaves, lambda: sum_(mul(concat(aggregate(enc, hidden, a, b, n), axis=0),
+                                           Tensor(weights.reshape(-1, 4)))))
+    # per-step leaves and one stacked (T, B*n, hidden) leaf give the same gradients
+    _assert_close(_grads(leaves, lambda: sum_(mul(encode_dependencies(enc, hidden, a, b, n),
+                                                  Tensor(weights)))), want)
+    stacked = Tensor(np.stack([h.data for h in hidden]), requires_grad=True)
+    got = _grads([a, *enc.parameters().values(), stacked],
+                 lambda: sum_(mul(encode_dependencies(enc, stacked, a, b, n),
+                                  Tensor(weights))))
+    _assert_close(got[:-1] + list(got[-1]), want)
+
+
+def test_hidden_same_with_and_without_tape():
+    cell, _ = _perturbed_encoder(1, 4, 60)
+    x = _rng(61).normal(size=(1, 2, 7, 1))
+    # the same values whether or not the activations are kept for a backward pass
+    with GradientTape():
+        kept = encode_hidden(cell, x).data
+    np.testing.assert_array_equal(encode_hidden(cell, x).data, kept)

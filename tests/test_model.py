@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,22 @@ def test_full_model_gradients_match_finite_differences():
             got = p.grad.reshape(-1)[idx]
             worst = max(worst, abs(got - fd) / max(abs(fd), 1e-6))
     assert worst < 1e-4
+
+
+def test_scoring_thread_adds_nothing_to_another_threads_tape():
+    model = _perturb(_model())
+    rng = np.random.default_rng(20)
+    batch = rng.normal(size=(2, 3, 4, 2))
+    windows = rng.normal(size=(8, 3, 4, 2))
+    scored = {}
+    with GradientTape() as tape:
+        loss = model.batch_nll(batch)
+        recorded = len(tape)
+        worker = threading.Thread(
+            target=lambda: scored.update(scores=model.score_windows(windows)[0]))
+        worker.start()
+        worker.join()
+        assert len(tape) == recorded
+    assert scored["scores"].shape == (8,)
+    tape.backward(loss)
+    np.testing.assert_array_equal(scored["scores"], model.score_windows(windows)[0])

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from ganf.data import SynthSpec, make_windows, normalize, split_windows, synth_generate
+from ganf.dag import augmented_lagrangian
+from ganf.data import (DataError, SynthSpec, make_windows, normalize, split_windows,
+                       synth_generate)
 from ganf.model import GanfModel
-from ganf.tensor import Tensor
+from ganf.tensor import GradientTape, Tensor
 from ganf.training import (Adam, CheckpointError, TrainConfig, TrainState,
                            checkpoint_load, checkpoint_save, clip_gradients,
                            inner_optimize, train, write_history)
@@ -103,6 +105,22 @@ def test_single_node_exits_immediately():
     assert len(outers) == 1
     assert history[-1]["converged"]
     assert adjacency.shape == (1, 1) and adjacency[0, 0] == 0.0
+
+
+def test_no_training_windows_raises_data_error():
+    split = _tiny_split()
+    with pytest.raises(DataError, match="no training windows"):
+        train(split.train[:0], split.validation, _tiny_config())
+
+
+def test_default_training_step_records_few_ops():
+    # the LSTM unroll, the aggregation and the flow stack are one op each
+    model = GanfModel(n_series=5, input_dim=1)
+    x = np.random.default_rng(0).normal(size=(32, 5, 20, 1))
+    with GradientTape() as tape:
+        augmented_lagrangian(model.batch_nll(x), model.adjacency,
+                             LagrangianState(lam=1.0, c=1.0))
+    assert len(tape) <= 30
 
 
 def test_history_bookkeeping():
