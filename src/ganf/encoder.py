@@ -179,10 +179,11 @@ def encode_dependencies(params: EncoderParams, hidden: Tensor | Sequence[Tensor]
     d = params.hidden_dim
     stacked = isinstance(hidden, Tensor)
     steps = [hidden] if stacked else list(hidden)
-    h = hidden.data if stacked else np.stack([s.data for s in steps])
-    if h.ndim != 3 or h.shape[1:] != (batch * n, d):
-        raise ShapeError(f"hidden states shaped {h.shape[1:]} per step, "
+    step_shapes = {hidden.shape[1:]} if stacked else {s.shape for s in steps}
+    if step_shapes != {(batch * n, d)}:
+        raise ShapeError(f"hidden states shaped {sorted(step_shapes)} per step, "
                          f"expected {(batch * n, d)}")
+    h = hidden.data if stacked else np.stack([s.data for s in steps])
     t_len = h.shape[0]
     ad, w1, w2, w3 = a.data, params.w1.data, params.w2.data, params.w3.data
     hn = h.reshape(t_len, batch, n, d)

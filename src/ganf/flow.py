@@ -224,10 +224,6 @@ def _params(blocks: Sequence[_Block]) -> list[Tensor]:
     return [getattr(block, k) for block in blocks for k in block._PARAMS]
 
 
-def _recording(blocks: Sequence[_Block], x: Tensor, d: Tensor) -> bool:
-    return recording(x, d, *_params(blocks))
-
-
 def _emit_run(blocks: Sequence[_Block], flip: bool, x: Tensor, d: Tensor,
               out: np.ndarray, caches,
               upstream: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> Tensor:
@@ -243,7 +239,7 @@ def _emit_run(blocks: Sequence[_Block], flip: bool, x: Tensor, d: Tensor,
 def _forward_ops(blocks: Sequence[_Block], flip: bool, x: Tensor,
                  d: Tensor) -> tuple[Tensor, Tensor]:
     """(z, logdet) of ``blocks`` as two tape ops that share one forward pass."""
-    z, logdet, caches = _run(blocks, flip, x.data, d.data, _recording(blocks, x, d))
+    z, logdet, caches = _run(blocks, flip, x.data, d.data, recording(x, d, *_params(blocks)))
     z_t = _emit_run(blocks, flip, x, d, z, caches,
                     lambda g: (g, np.zeros_like(logdet)))
     return z_t, _emit_run(blocks, flip, x, d, logdet, caches,
@@ -310,7 +306,7 @@ class FlowStack:
         """log p(x | d) = log N(f(x; d); 0, I) + sum of block logdets, as one tape op."""
         self._check(x.shape[-1], d.shape[-1])
         z, logdet, caches = _run(self.blocks, self._flip, x.data, d.data,
-                                 _recording(self.blocks, x, d))
+                                 recording(x, d, *_params(self.blocks)))
         return _emit_run(self.blocks, self._flip, x, d, self._log_q(z) + logdet, caches,
                          lambda g: (-g[:, None] * z, g))
 

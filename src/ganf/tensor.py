@@ -46,12 +46,11 @@ _ACTIVE_TAPE: ContextVar[Optional["GradientTape"]] = ContextVar("ganf_active_tap
 
 
 def recording(*inputs: "Tensor") -> bool:
-    """Whether an op on ``inputs`` would be recorded (any tape, if none are given).
+    """Whether an op on ``inputs`` would be recorded on the active tape.
 
     Fused ops ask this before caching activations for their backward pass.
     """
-    return _ACTIVE_TAPE.get() is not None and (
-        not inputs or any(t.requires_grad for t in inputs))
+    return _ACTIVE_TAPE.get() is not None and any(t.requires_grad for t in inputs)
 
 
 class Tensor:
@@ -213,10 +212,9 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
           vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = _ACTIVE_TAPE.get()
-    if tape is not None and out.requires_grad:
-        out._tape = tape
-        tape._append(_OpRecord(tuple(inputs), out, vjp))
+    if recording(*inputs):
+        out._tape = _ACTIVE_TAPE.get()
+        out._tape._append(_OpRecord(tuple(inputs), out, vjp))
     return out
 
 
@@ -265,18 +263,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        # a 2-D operand shared across a batch gets its gradient from one
-        # contraction, not from a stack of per-item products summed afterwards
-        if a.ndim == 2 < b.ndim:
-            axes = [*range(g.ndim - 2), g.ndim - 1]
-            ga = np.tensordot(g, bd, axes=(axes, axes))
-        else:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
-        if b.ndim == 2 < a.ndim:
-            axes = list(range(g.ndim - 1))
-            gb = np.tensordot(ad, g, axes=(axes, axes))
-        else:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
         return ga, gb
 
     return _emit([a, b], np.matmul(ad, bd), vjp)

@@ -119,6 +119,13 @@ def test_dependencies_nonzero_diagonal_rejected():
         encode_dependencies(enc, hidden, Tensor(np.eye(2)), 1, 2)
 
 
+def test_dependencies_unequal_step_shapes_rejected():
+    enc = EncoderParams(3, _rng(16))
+    steps = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3)))]
+    with pytest.raises(ShapeError):
+        encode_dependencies(enc, steps, Tensor(np.zeros((2, 2))), 1, 2)
+
+
 def test_parent_locality():
     rng = _rng(16)
     cell = LstmCell(1, 4, rng)
