@@ -8,13 +8,18 @@ directory so runs are reproducible from the echo plus the seed. Exit codes:
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 import click
 import numpy as np
@@ -167,14 +172,77 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
 
 # ------------------------------------------------------------------- score
 
+# symbol names of OpenBLAS's thread-count functions, by build
+_OPENBLAS_NAMES = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS NumPy loaded, or None.
+
+    A symbol lookup on NumPy's core extension also searches the libraries it
+    links, so this finds a wheel's bundled OpenBLAS as well as a system one.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _OPENBLAS_NAMES:
+        get = getattr(lib, name.format("get_num_threads"), None)
+        put = getattr(lib, name.format("set_num_threads"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _blas_threads() -> Optional[int]:
+    """OpenBLAS's current thread count, or None when it cannot be found."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+_BLAS_PIN = threading.Lock()
+
+
+@contextlib.contextmanager
+def _blas_pinned(count: int):
+    """Hold OpenBLAS at ``count`` threads inside the block, process-wide.
+
+    Yields the count in effect (None when no OpenBLAS is found, in which
+    case nothing changes) and restores the previous count on the way out.
+    Concurrent callers take turns, so none restores a count another set.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield None
+        return
+    get, put = lib
+    with _BLAS_PIN:
+        before = get()
+        put(count)
+        try:
+            yield get()
+        finally:
+            put(before)
+
+
 def _score_parallel(model: GanfModel, windows: np.ndarray,
-                    workers: int) -> tuple[np.ndarray, np.ndarray]:
+                    workers: int) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """Score windows on up to ``workers`` threads.
+
+    Returns (totals, per-series scores, OpenBLAS threads in effect or None).
+    The pool pins OpenBLAS to one thread while it runs, so its workers do
+    not each start BLAS threads on the same cores; the serial path keeps
+    BLAS's own threads, which is faster for a single caller.
+    """
     if workers <= 1 or windows.shape[0] < 2 * workers:
-        return model.score_windows(windows)
+        return (*model.score_windows(windows), _blas_threads())
     bounds = np.linspace(0, windows.shape[0], workers + 1, dtype=int)
     totals = np.empty(windows.shape[0])
     per_series = None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _blas_pinned(1) as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [(lo, hi, pool.submit(model.score_windows, windows[lo:hi]))
                    for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         for lo, hi, fut in futures:
@@ -183,7 +251,7 @@ def _score_parallel(model: GanfModel, windows: np.ndarray,
                 per_series = np.empty((windows.shape[0], p.shape[1]))
             totals[lo:hi] = t
             per_series[lo:hi] = p
-    return totals, per_series
+    return totals, per_series, blas_threads
 
 
 @main.command("score")
@@ -202,13 +270,15 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
         model = checkpoint_load(ckpt_path)
     except CheckpointError as exc:
         _fail(exc)
-    extra = _checkpoint_extra(ckpt_path)
+    extra = model.checkpoint_extra
     if window_len is None:
         window_len = int(extra.get("window_len", 20))
     out = Path(out_dir)
-    _echo_config(out, {"command": "score", "checkpoint": str(ckpt_path),
-                       "data_csv": str(data_csv), "window_len": window_len,
-                       "stride": stride, "workers": _worker_count()})
+    workers = _worker_count()
+    config = {"command": "score", "checkpoint": str(ckpt_path), "data_csv": str(data_csv),
+              "window_len": window_len, "stride": stride, "workers": workers,
+              "blas_threads": None}
+    _echo_config(out, config)
     try:
         series, entities, _ = dat.load_csv(data_csv)
         if len(entities) != model.n_series or series.shape[2] != model.input_dim:
@@ -220,27 +290,24 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
             std = np.asarray(extra["norm_std"])
             series = (series - mean[:, None, :]) / std[:, None, :]
         windows, starts = dat.make_windows(series, window_len, stride)
-        totals, per_series = _score_parallel(model, windows, _worker_count())
+        start = time.perf_counter()
+        totals, per_series, blas_threads = _score_parallel(model, windows, workers)
+        seconds = time.perf_counter() - start
     except dat.DataError as exc:
         raise click.UsageError(str(exc))
     except (NumericError, CheckpointError) as exc:
         _fail(exc)
-    out.mkdir(parents=True, exist_ok=True)
+    _echo_config(out, {**config, "blas_threads": blas_threads})
     with open(out / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_start", "score"]
                         + [f"series_{i}" for i in range(per_series.shape[1])])
         for s, tot, row in zip(starts, totals, per_series):
             writer.writerow([int(s), repr(float(tot))] + [repr(float(v)) for v in row])
+    with open(out / "summary.json", "w") as fh:
+        json.dump({"n_windows": len(starts), "windows_per_s": len(starts) / seconds,
+                   "workers": workers, "blas_threads": blas_threads}, fh, indent=2)
     click.echo(f"wrote {len(starts)} rows to {out / 'scores.csv'}")
-
-
-def _checkpoint_extra(path) -> dict:
-    import struct
-    with open(path, "rb") as fh:
-        fh.read(8)
-        _, blob_len = struct.unpack("<II", fh.read(8))
-        return json.loads(fh.read(blob_len)).get("extra", {})
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,58 +26,101 @@ def load_csv(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.ndarra
     """Read a long-format CSV into a dense (n, L, D) array.
 
     Returns (values, entity_ids, timestamps). Entities are ordered by name.
+    A reading with a NaN in any attribute counts as missing. Every error is
+    a :class:`DataError`; per entity (in name order) the first one found is
+    a non-monotone timestamp, then a missing first step, then a long gap.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[0] != "timestamp" or header[1] != "entity":
-            raise DataError(f"{path}: expected header 'timestamp,entity,attr_1,...', got {header}")
-        n_attr = len(header) - 2
-        per_entity: dict[str, list[tuple[float, list[float]]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            try:
-                ts = float(row[0])
-            except ValueError:
-                raise DataError(f"{path}: non-numeric timestamp {row[0]!r}") from None
-            per_entity.setdefault(row[1], []).append((ts, [float(v) for v in row[2:]]))
+    stamps: list[float] = []
+    codes: list[int] = []       # entity of each row, in order of first appearance
+    cells: list[float] = []     # attribute values, row after row
+    index: dict[str, int] = {}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if (header is None or len(header) < 3 or header[0] != "timestamp"
+                    or header[1] != "entity"):
+                raise DataError(
+                    f"{path}: expected header 'timestamp,entity,attr_1,...', got {header}")
+            width = len(header)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise DataError(f"{path}: line {reader.line_num} has {len(row)} "
+                                    f"columns, the header has {width}")
+                try:
+                    stamps.append(float(row[0]))
+                except ValueError:
+                    raise DataError(f"{path}: line {reader.line_num}: non-numeric "
+                                    f"timestamp {row[0]!r}") from None
+                try:
+                    cells.extend(map(float, row[2:]))
+                except ValueError:
+                    raise DataError(f"{path}: line {reader.line_num}: non-numeric "
+                                    f"value in {row[2:]}") from None
+                codes.append(index.setdefault(row[1], len(index)))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
 
-    if not per_entity:
+    if not stamps:
         raise DataError(f"{path}: no data rows")
-    entities = sorted(per_entity)
-    all_ts = sorted({ts for rows in per_entity.values() for ts, _ in rows})
+    ts = np.asarray(stamps)
+    if not np.isfinite(ts).all():
+        raise DataError(f"{path}: non-finite timestamp")
+    vals = np.asarray(cells).reshape(len(ts), width - 2)
+    entities = sorted(index)
+    rank = np.empty(len(entities), dtype=np.int64)
+    rank[[index[e] for e in entities]] = np.arange(len(entities))
+    ent = rank[codes]
+    all_ts = np.unique(ts)
     if len(all_ts) < 2:
         raise DataError(f"{path}: need at least two time steps")
-    step = min(b - a for a, b in zip(all_ts, all_ts[1:]))
-    length = int(round((all_ts[-1] - all_ts[0]) / step)) + 1
+    step = np.diff(all_ts).min()
     grid0 = all_ts[0]
 
-    values = np.full((len(entities), length, n_attr), np.nan)
-    for e_idx, ent in enumerate(entities):
-        rows = per_entity[ent]
-        prev = -np.inf
-        for ts, vals in rows:
-            if ts <= prev:
-                raise DataError(f"{path}: non-monotone timestamps for entity {ent!r}")
-            prev = ts
-            pos = int(round((ts - grid0) / step))
-            values[e_idx, pos] = vals
-        # forward fill short gaps; larger gaps are a data-quality error
-        run = 0
-        for pos in range(length):
-            if np.isnan(values[e_idx, pos]).any():
-                run += 1
-                if run > gap_limit:
-                    raise DataError(
-                        f"{path}: entity {ent!r} has a gap longer than {gap_limit} steps")
-                if pos == 0:
-                    raise DataError(f"{path}: entity {ent!r} has no reading at the first step")
-                values[e_idx, pos] = values[e_idx, pos - 1]
-            else:
-                run = 0
+    # rows grouped by entity, file order kept within each entity
+    order = np.argsort(ent, kind="stable")
+    ent, ts, vals = ent[order], ts[order], vals[order]
+    pos = np.rint((ts - grid0) / step)      # float: checked before it sizes anything
+    if not np.isfinite(pos).all():
+        raise DataError(f"{path}: timestamps span too many steps of {step}")
+    last_pos = pos.max()
+    same = ent[1:] == ent[:-1]
+    non_monotone = np.zeros(len(entities), dtype=bool)
+    non_monotone[ent[1:][same & (ts[1:] <= ts[:-1])]] = True
+    # a later row on the same grid step overwrites an earlier one; a NaN
+    # anywhere in the surviving row makes that step missing
+    last_on_step = np.append(~same | (pos[1:] != pos[:-1]), True)
+    keep = last_on_step & ~np.isnan(vals).any(axis=1)
+    ent, pos, vals = ent[keep], pos[keep], vals[keep]
+
+    # missing runs, from the readings kept: before the first, between two, after the last
+    first, last = np.ones((2, len(ent)), dtype=bool)
+    first[1:] = last[:-1] = ent[1:] != ent[:-1]
+    no_first_step = np.ones(len(entities), dtype=bool)
+    no_first_step[ent[first]] = pos[first] > 0
+    limit = max(gap_limit, 0)
+    long_gap = np.zeros(len(entities), dtype=bool)
+    long_gap[ent[1:][~first[1:] & (np.diff(pos) - 1 > limit)]] = True
+    long_gap[ent[last][last_pos - pos[last] > limit]] = True
+    bad = np.flatnonzero(non_monotone | no_first_step | long_gap)
+    if bad.size:
+        e = bad[0]
+        if non_monotone[e]:
+            raise DataError(f"{path}: non-monotone timestamps for entity {entities[e]!r}")
+        if no_first_step[e] and gap_limit >= 1:
+            raise DataError(f"{path}: entity {entities[e]!r} has no reading at the first step")
+        raise DataError(
+            f"{path}: entity {entities[e]!r} has a gap longer than {gap_limit} steps")
+
+    # forward fill: each step takes the latest kept reading at or before it
+    length = int(last_pos) + 1
+    latest = np.zeros((len(entities), length), dtype=np.int64)
+    latest[ent, pos.astype(np.int64)] = np.arange(len(ent))
+    np.maximum.accumulate(latest, axis=1, out=latest)
     timestamps = grid0 + step * np.arange(length)
-    return values, entities, timestamps
+    return vals[latest], entities, timestamps
 
 
 # ---------------------------------------------------------------- windowing
@@ -134,6 +177,8 @@ def split_windows(windows: np.ndarray, starts: np.ndarray,
 
 def fit_norm_stats(train_windows: np.ndarray, eps: float = 1e-6) -> NormStats:
     """Mean/std per entity-attribute, computed from train windows only."""
+    if train_windows.shape[0] == 0:
+        raise DataError("no training windows to fit normalisation statistics on")
     flat = train_windows.transpose(1, 0, 2, 3).reshape(
         train_windows.shape[1], -1, train_windows.shape[3])
     mean = flat.mean(axis=1)

@@ -62,6 +62,8 @@ class GanfModel:
             np.fill_diagonal(a0, 0.0)
         self.adjacency = Tensor(a0, requires_grad=(mode == "graph"))
         self._offdiag = offdiag_mask(self._n_eff)
+        # header extras of the checkpoint this model was loaded from
+        self.checkpoint_extra: dict = {}
 
     # ---- parameters ----
 

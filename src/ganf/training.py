@@ -277,6 +277,7 @@ def checkpoint_save(path, model: GanfModel, extra: Optional[dict] = None):
 
 
 def checkpoint_load(path) -> GanfModel:
+    """Rebuild the saved model; its ``checkpoint_extra`` holds the header extras."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -301,6 +302,7 @@ def checkpoint_load(path) -> GanfModel:
             arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     model = GanfModel(**header["config"])
     _load_arrays(model, arrays)
+    model.checkpoint_extra = header.get("extra", {})
     return model
 
 

@@ -1,11 +1,17 @@
 import json
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ganf import cli
 from ganf.cli import main, read_scores_csv
 from ganf.data import DataError, SynthSpec
+from ganf.tensor import NumericError
+from ganf.training import checkpoint_load
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +130,9 @@ def test_score_outputs_and_consistency(runner, synth_dir, trained_dir, tmp_path)
     np.testing.assert_allclose(per_series.sum(axis=1), scores, atol=1e-10)
 
     # library-level cross-check on the first window
-    from ganf.training import checkpoint_load
-    from ganf.cli import _checkpoint_extra
     from ganf import data as dat
     model = checkpoint_load(trained_dir / "checkpoint.ganf")
-    extra = _checkpoint_extra(trained_dir / "checkpoint.ganf")
+    extra = model.checkpoint_extra
     series, _, _ = dat.load_csv(synth_dir / "series.csv")
     mean = np.asarray(extra["norm_mean"])
     std = np.asarray(extra["norm_std"])
@@ -209,10 +213,50 @@ def test_train_nonpositive_window_config_exit_2(runner, synth_dir, tmp_path, key
 
 def test_train_no_training_windows_exit_2(runner, synth_dir, tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, train_frac=0.0)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                                   "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert "no training windows" in res.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+_BAD_ROWS = {
+    "non-numeric value": "3,node0,abc",
+    "too few columns": "3,node0",
+    "too many columns": "3,node0,1.0,2.0",
+}
+
+
+def _corrupt_csv(synth_dir, tmp_path, bad_row):
+    """The synthetic series with its fifth data line replaced by ``bad_row``."""
+    lines = (synth_dir / "series.csv").read_text().splitlines()
+    lines[5] = bad_row
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+def test_train_malformed_csv_exit_2(runner, synth_dir, tmp_path, case):
+    path = _corrupt_csv(synth_dir, tmp_path, _BAD_ROWS[case])
+    cfg = {**_train_config(synth_dir), "data_csv": str(path)}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
     res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
                                "--out", str(tmp_path / "t")])
     assert res.exit_code == 2, res.output
-    assert "no training windows" in res.output
+    assert "bad.csv" in res.output and "line 6" in res.output
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+def test_score_malformed_csv_exit_2(runner, synth_dir, trained_dir, tmp_path, case):
+    path = _corrupt_csv(synth_dir, tmp_path, _BAD_ROWS[case])
+    res = runner.invoke(main, ["score", "--checkpoint",
+                               str(trained_dir / "checkpoint.ganf"),
+                               "--data", str(path), "--out", str(tmp_path / "s")])
+    assert res.exit_code == 2, res.output
+    assert "bad.csv" in res.output and "line 6" in res.output
 
 
 def test_eval_hard_labels(runner, synth_dir, trained_dir, tmp_path):
@@ -348,3 +392,95 @@ def test_parallel_scoring_matches_serial(runner, synth_dir, trained_dir,
         assert res.exit_code == 0, res.output
         outs.append((tmp_path / d / "scores.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _score_inputs(trained_dir, count=40):
+    model = checkpoint_load(trained_dir / "checkpoint.ganf")
+    rng = np.random.default_rng(0)
+    return model, rng.normal(size=(count, model.n_series, 10, model.input_dim))
+
+
+@pytest.fixture
+def blas_at_three():
+    """OpenBLAS held at 3 threads, a count the pool never sets, restored afterwards."""
+    if cli._openblas() is None:
+        pytest.skip("no OpenBLAS found in this NumPy")
+    get, put = cli._openblas()
+    before = get()
+    put(3)
+    try:
+        yield 3
+    finally:
+        put(before)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_score_parallel_restores_blas_threads(trained_dir, blas_at_three):
+    model, windows = _score_inputs(trained_dir)
+    _, _, in_pool = cli._score_parallel(model, windows, 2)
+    assert in_pool == 1
+    assert cli._blas_threads() == blas_at_three
+    windows[7, 0, 3, 0] = np.inf
+    with pytest.raises(NumericError):
+        cli._score_parallel(model, windows, 2)
+    assert cli._blas_threads() == blas_at_three
+
+
+def test_concurrent_score_parallel_calls_restore_blas_threads(trained_dir, blas_at_three):
+    model, windows = _score_inputs(trained_dir, count=16)
+    want = model.score_windows(windows)[0]
+    results = []
+
+    def score():
+        for _ in range(5):
+            results.append(cli._score_parallel(model, windows, 3)[0])
+
+    callers = [threading.Thread(target=score) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(results) == 20
+    assert all(np.array_equal(r, want) for r in results)
+    assert cli._blas_threads() == blas_at_three
+
+
+def test_score_parallel_without_openblas(trained_dir, monkeypatch):
+    model, windows = _score_inputs(trained_dir)
+    want_totals, want_per_series = model.score_windows(windows)
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    totals, per_series, blas_threads = cli._score_parallel(model, windows, 2)
+    assert blas_threads is None
+    np.testing.assert_array_equal(totals, want_totals)
+    np.testing.assert_array_equal(per_series, want_per_series)
+
+
+def test_score_records_threads_and_throughput(runner, synth_dir, trained_dir, tmp_path,
+                                              monkeypatch, blas_at_three):
+    """summary.json and the echoed config at 1 and 2 workers; the scores are byte-identical."""
+    scores = []
+    for workers, want_blas in ((1, blas_at_three), (2, 1)):
+        monkeypatch.setenv("GANF_THREADS", str(workers))
+        out = tmp_path / str(workers)
+        res = runner.invoke(main, ["score", "--checkpoint",
+                                   str(trained_dir / "checkpoint.ganf"),
+                                   "--data", str(synth_dir / "series.csv"),
+                                   "--stride", "5", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert cli._blas_threads() == blas_at_three
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"n_windows", "windows_per_s", "workers", "blas_threads"}
+        assert summary["n_windows"] == 119
+        assert summary["windows_per_s"] > 0
+        assert summary["workers"] == workers
+        assert summary["blas_threads"] == want_blas
+        echoed = json.loads((out / "resolved_config.json").read_text())
+        assert echoed["blas_threads"] == want_blas
+        scores.append((out / "scores.csv").read_bytes())
+    assert scores[0] == scores[1]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csv_reference import load_csv_rows
 from ganf.dag import acyclicity, is_acyclic
 from ganf.data import (DataError, SynthSpec, fit_norm_stats, inject_anomalies,
                        inject_series_anomalies, load_csv, make_windows,
@@ -51,6 +54,106 @@ def test_load_csv_bad_header(tmp_path):
         load_csv(_write(tmp_path, "time,node,v\n0,a,1"))
 
 
+@pytest.mark.parametrize("row,what", [
+    ("2,a,oops", "non-numeric value"), ("x,a,1.0", "non-numeric timestamp"),
+    ("2,a", "2 columns"), ("2,a,1.0,7", "4 columns"), ("2", "1 columns")])
+def test_load_csv_malformed_row_names_file_and_line(tmp_path, row, what):
+    text = "\n".join(["timestamp,entity,attr_1", "0,a,1.0", "1,a,2.0", row, "3,a,4.0"])
+    with pytest.raises(DataError, match=f"data.csv: line 4.*{what}"):
+        load_csv(_write(tmp_path, text))
+
+
+def test_load_csv_unreadable_text_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="unreadable"):
+        load_csv(_write(tmp_path, "timestamp,entity,attr_1\n0,a,1\x00\n"))
+
+
+# long-format CSVs on which the vectorised reader must match the row-by-row one
+_REFERENCE_CASES = {
+    "forward-fill": ["timestamp,entity,attr_1", "0,a,1.0", "0,b,5.0", "2,a,3.0",
+                     "3,b,6.0", "4,a,4.5", "4,b,7.0", "5,a,8.0", "5,b,-1.0"],
+    "nan-reading": ["timestamp,entity,attr_1,attr_2", "0,a,1.0,2.0", "1,a,nan,3.0",
+                    "2,a,4.0,NaN", "3,a,5.0,6.0", "0,b,0.5,0.25", "1,b,1.5,inf",
+                    "2,b,nan,nan", "3,b,2.5,2.25"],
+    "multi-attribute": ["timestamp,entity,attr_1,attr_2,attr_3"]
+    + [f"{t * 0.5},{e},{t},{-t * 2.5},{t + 0.125 * k}"
+       for t in range(8) for k, e in enumerate(("z", "m", "a")) if (t, e) != (3, "m")],
+    "unsorted-entities": ["timestamp,entity,attr_1", "10,b,1", "10,a,2", "11,a,3",
+                          "12,b,4", "12,a,5", "13,b,6", "13,a,7"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_load_csv_matches_row_by_row_reference(tmp_path, case):
+    path = _write(tmp_path, "\n".join(_REFERENCE_CASES[case]))
+    values, entities, ts = load_csv(path, gap_limit=2)
+    want_values, want_entities, want_ts = load_csv_rows(path, gap_limit=2)
+    assert np.array_equal(values, want_values)
+    assert entities == want_entities
+    assert np.array_equal(ts, want_ts)
+
+
+@st.composite
+def _numeric_csv(draw):
+    """A numeric long-format CSV with readings missing, NaN or out of order."""
+    n_attr = draw(st.integers(1, 2))
+    value = st.sampled_from([0.5, -1.25, 3.0, float("nan")]) | st.floats(-5, 5)
+    rows = []
+    for ent in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+        steps = sorted(draw(st.sets(st.integers(0, 9), min_size=4)))
+        if draw(st.booleans()):
+            steps = draw(st.permutations(steps))
+        for t in steps:
+            cells = [draw(value) for _ in range(n_attr)]
+            rows.append((t, ent, cells))
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: r[0])     # time-major, as most exports are
+    scale = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    header = ",".join(["timestamp", "entity"] + [f"attr_{k + 1}" for k in range(n_attr)])
+    body = [",".join([repr(t * scale), ent] + [repr(v) for v in cells])
+            for t, ent, cells in rows]
+    return "\n".join([header] + body), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeric_csv())
+def test_load_csv_agrees_with_reference_on_numeric_csvs(tmp_path_factory, case):
+    text, gap_limit = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(text)
+    try:
+        want = load_csv_rows(path, gap_limit=gap_limit)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_csv(path, gap_limit=gap_limit)
+        assert str(got.value) == str(exc)
+        return
+    values, entities, ts = load_csv(path, gap_limit=gap_limit)
+    assert np.array_equal(values, want[0])
+    assert entities == want[1]
+    assert np.array_equal(ts, want[2])
+
+
+_csv_cell = st.one_of(st.text(max_size=6), st.floats().map(repr),
+                      st.integers(-3, 10**12).map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.lists(_csv_cell, min_size=1, max_size=5), max_size=8).map(
+        lambda rows: "\n".join(["timestamp,entity,attr_1,attr_2"]
+                               + [",".join(r) for r in rows]))))
+def test_load_csv_raises_only_data_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        values, entities, ts = load_csv(path)
+    except DataError:
+        return
+    assert values.shape == (len(entities), len(ts), 2)
+
+
 def test_make_windows_counts():
     series = np.zeros((2, 10, 1))
     w, starts = make_windows(series, 5, 5)
@@ -90,6 +193,11 @@ def test_normalize_statistics():
     assert np.max(np.abs(flat.mean(axis=1))) < 1e-10
     assert np.max(np.abs(flat.std(axis=1) - 1.0)) < 1e-10
     assert split.stats.source_split == "train"
+
+
+def test_fit_norm_stats_no_windows_raises_data_error():
+    with pytest.raises(DataError, match="no training windows"):
+        fit_norm_stats(np.zeros((0, 2, 5, 1)))
 
 
 def test_normalize_constant_attribute_flagged():
