@@ -311,18 +311,9 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    starts, scores, per_series = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise dat.DataError(f"{path}: empty scores file")
-        for row in reader:
-            if not row:
-                continue
-            starts.append(int(row[0]))
-            scores.append(float(row[1]))
-            per_series.append([float(v) for v in row[2:]])
-    return np.asarray(starts), np.asarray(scores), np.asarray(per_series)
+    """(window starts, total scores, per-series scores) from ``ganf score``'s CSV."""
+    starts, values = dat.read_window_csv(path, ["window_start", "score"])
+    return starts, values[:, 0], values[:, 1:]
 
 
 # -------------------------------------------------------------------- eval

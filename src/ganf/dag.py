@@ -3,6 +3,12 @@
 The constraint h(A) = tr(e^{A o A}) - n is zero exactly when the support
 of A is acyclic. Its gradient is closed-form, (e^{A o A})^T o 2A, and the
 tape's backward pass reuses the forward exponential to compute it.
+
+``acyclicity``, ``acyclicity_grad`` and ``acyclicity_tensor`` take E =
+e^{A o A} from one helper that keeps the last A it saw and its E, so an
+exponential asked for again on an unchanged A is not recomputed. Training
+does this at every epoch boundary: the epoch record's h and the next
+step's h(A) see the same A.
 """
 from __future__ import annotations
 
@@ -20,26 +26,47 @@ def _check_square(a: np.ndarray):
         raise ShapeError(f"adjacency matrix must be square, got shape {a.shape}")
 
 
+# (copy of the last A, its read-only E); replaced whole, so a reader never
+# sees a key with another A's E
+_last_exp: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+
+def _exp_squared(a: np.ndarray) -> np.ndarray:
+    """E = e^{A o A}, read-only; the last E is reused while A is unchanged.
+
+    The key is a copy of A compared by value, because the optimiser updates
+    the adjacency in place.
+    """
+    global _last_exp
+    last = _last_exp
+    if last is not None and np.array_equal(last[0], a):
+        return last[1]
+    e = expm(a * a)
+    e.flags.writeable = False
+    _last_exp = (a.copy(), e)
+    return e
+
+
 def acyclicity(a: np.ndarray) -> float:
     """h(A) = tr(e^{A o A}) - n; non-negative, zero iff acyclic support."""
     a = np.asarray(a, dtype=np.float64)
     _check_square(a)
     # mathematically >= 0 since A o A is entrywise non-negative; clamp roundoff
-    return max(float(np.trace(expm(a * a)) - a.shape[0]), 0.0)
+    return max(float(np.trace(_exp_squared(a)) - a.shape[0]), 0.0)
 
 
 def acyclicity_grad(a: np.ndarray) -> np.ndarray:
     """Closed-form gradient (e^{A o A})^T o 2A."""
     a = np.asarray(a, dtype=np.float64)
     _check_square(a)
-    return expm(a * a).T * (2.0 * a)
+    return _exp_squared(a).T * (2.0 * a)
 
 
 def acyclicity_tensor(a: Tensor) -> Tensor:
     """h(A) as one tape op whose VJP g * (E^T o 2A) reuses the forward E = e^{A o A}."""
     ad = a.data
     _check_square(ad)
-    e = expm(ad * ad)
+    e = _exp_squared(ad)
     return _emit([a], np.trace(e) - ad.shape[0], lambda g: (g * (e.T * (2.0 * ad)),))
 
 

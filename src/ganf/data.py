@@ -13,11 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from .dag import acyclicity, is_acyclic
+from .dag import is_acyclic
 
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+# a timestamp may sit this many steps off the grid grid0 + k * step
+_GRID_TOL = 1e-6
 
 
 # ---------------------------------------------------------------- ingestion
@@ -25,10 +29,12 @@ class DataError(ValueError):
 def load_csv(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Read a long-format CSV into a dense (n, L, D) array.
 
-    Returns (values, entity_ids, timestamps). Entities are ordered by name.
-    A reading with a NaN in any attribute counts as missing. Every error is
-    a :class:`DataError`; per entity (in name order) the first one found is
-    a non-monotone timestamp, then a missing first step, then a long gap.
+    Returns (values, entity_ids, timestamps). The grid starts at the
+    earliest timestamp and its step is the smallest gap between distinct
+    timestamps; a timestamp more than 1e-6 steps off it is an error. A
+    reading with a NaN in any attribute counts as missing. Every error is a
+    :class:`DataError`; per entity (in name order) the first one found is a
+    non-monotone timestamp, then a missing first step, then a long gap.
     """
     stamps: list[float] = []
     codes: list[int] = []       # entity of each row, in order of first appearance
@@ -78,13 +84,18 @@ def load_csv(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.ndarra
         raise DataError(f"{path}: need at least two time steps")
     step = np.diff(all_ts).min()
     grid0 = all_ts[0]
+    offset = (ts - grid0) / step
+    pos = np.rint(offset)                   # float: checked before it sizes anything
+    if not np.isfinite(pos).all():
+        raise DataError(f"{path}: timestamps span too many steps of {step}")
+    off_grid = np.abs(offset - pos) > _GRID_TOL
+    if off_grid.any():
+        raise DataError(f"{path}: timestamp {float(ts[off_grid].min())!r} is off the "
+                        f"grid {float(grid0)!r} + k * {float(step)!r}")
 
     # rows grouped by entity, file order kept within each entity
     order = np.argsort(ent, kind="stable")
-    ent, ts, vals = ent[order], ts[order], vals[order]
-    pos = np.rint((ts - grid0) / step)      # float: checked before it sizes anything
-    if not np.isfinite(pos).all():
-        raise DataError(f"{path}: timestamps span too many steps of {step}")
+    ent, ts, vals, pos = ent[order], ts[order], vals[order], pos[order]
     last_pos = pos.max()
     same = ent[1:] == ent[:-1]
     non_monotone = np.zeros(len(entities), dtype=bool)
@@ -380,16 +391,45 @@ def write_labels_csv(path, starts: np.ndarray, labels: np.ndarray):
             writer.writerow([int(s), int(lab)])
 
 
+def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Read a CSV whose header starts with ``header`` and whose rows hold an
+    integer window start followed by numbers.
+
+    Returns (window starts (N,), the other columns (N, width - 1)). Every
+    problem is a :class:`DataError` naming the file and, for a row, its line.
+    """
+    starts: list[int] = []
+    values: list[list[float]] = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            head = next(reader, None)
+            if head is None or head[:len(header)] != header:
+                raise DataError(
+                    f"{path}: expected header '{','.join(header)}', got {head}")
+            width = len(head)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise DataError(f"{path}: line {reader.line_num} has {len(row)} "
+                                    f"columns, the header has {width}")
+                try:
+                    starts.append(int(row[0]))
+                    values.append([float(v) for v in row[1:]])
+                except ValueError:
+                    raise DataError(f"{path}: line {reader.line_num}: non-numeric "
+                                    f"value in {row}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    try:
+        start_array = np.array(starts, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: a window start does not fit in 64 bits") from None
+    return start_array, np.array(values, dtype=np.float64).reshape(len(starts), width - 1)
+
+
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    starts, labels = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["window_start", "label"]:
-            raise DataError(f"{path}: expected header 'window_start,label', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            starts.append(int(row[0]))
-            labels.append(float(row[1]))
-    return np.asarray(starts), np.asarray(labels)
+    """(window starts, labels) from a ``window_start,label`` CSV."""
+    starts, values = read_window_csv(path, ["window_start", "label"])
+    return starts, values[:, 0]

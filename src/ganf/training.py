@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
+import time
 from dataclasses import dataclass, asdict, field
 from typing import Optional
 
@@ -127,9 +129,11 @@ def inner_optimize(state: TrainState, train_windows: np.ndarray,
     params = model.parameters()
     n_windows = train_windows.shape[0]
     for _ in range(config.inner_epochs):
+        start = time.perf_counter()
         order = rng.permutation(n_windows)
         epoch_loss = 0.0
         epoch_nll = 0.0
+        epoch_grad_norm = 0.0
         n_batches = 0
         for lo in range(0, n_windows, config.batch_size):
             batch = train_windows[order[lo:lo + config.batch_size]]
@@ -145,7 +149,7 @@ def inner_optimize(state: TrainState, train_windows: np.ndarray,
                     f"non-finite loss at epoch {state.epoch}; "
                     f"best validation snapshot is retained in TrainState.best_arrays")
             tape.backward(loss)
-            clip_gradients(params, config.grad_clip, config.clip_mode)
+            epoch_grad_norm += clip_gradients(params, config.grad_clip, config.clip_mode)
             state.optimizer.step(params, state.lr)
             model.remask_diagonal()
             epoch_loss += loss.item()
@@ -153,12 +157,15 @@ def inner_optimize(state: TrainState, train_windows: np.ndarray,
             n_batches += 1
         val_ld = _validation_log_density(model, val_windows, config.batch_size) \
             if val_windows.size else float("nan")
+        h = acyclicity(model.adjacency.data)
+        wall = time.perf_counter() - start
         record = {
             "kind": "epoch", "outer": state.lagrangian.k, "epoch": state.epoch,
             "train_loss": epoch_loss / n_batches, "train_nll": epoch_nll / n_batches,
-            "val_log_density": val_ld, "lr": state.lr,
-            "h": acyclicity(model.adjacency.data),
+            "val_log_density": val_ld, "lr": state.lr, "h": h,
             "lambda": state.lagrangian.lam, "c": state.lagrangian.c,
+            "grad_norm": epoch_grad_norm / n_batches,
+            "wall_s": wall, "windows_per_s": n_windows / wall,
         }
         # model selection + plateau learning-rate decay on validation log-density.
         # In graph mode only constraint-feasible iterates are eligible: an early
@@ -206,6 +213,7 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
 
     converged = False
     while state.lagrangian.k < config.max_outer_iters:
+        start = time.perf_counter()
         # each outer subproblem is a fresh minimization: restart the schedule
         state.lr = config.lr
         state.stale_epochs = 0
@@ -217,6 +225,7 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
         state.history.append({
             "kind": "outer", "outer": state.lagrangian.k, "h": h_now,
             "lambda": state.lagrangian.lam, "c": state.lagrangian.c,
+            "wall_s": time.perf_counter() - start,
         })
         if abs(h_now) < config.h_tol:
             converged = True
@@ -250,7 +259,9 @@ def _load_arrays(model: GanfModel, arrays: dict[str, np.ndarray]):
 # ------------------------------------------------------------- checkpoints
 
 _MAGIC = b"GANFCKPT"
-_VERSION = 1
+_VERSION = 2                # version 1 is the same without the trailing digest
+_PREFIX = len(_MAGIC) + 8   # magic, then <II version and header length
+_DIGEST = hashlib.sha256().digest_size
 
 
 def _config_hash(config: dict) -> str:
@@ -258,7 +269,8 @@ def _config_hash(config: dict) -> str:
 
 
 def checkpoint_save(path, model: GanfModel, extra: Optional[dict] = None):
-    """Binary container: magic, version, JSON header, little-endian f64 arrays."""
+    """Binary container: magic, ``<II`` version and header length, JSON header,
+    little-endian f64 arrays, then the SHA-256 of every preceding byte."""
     arrays = model.all_arrays()
     names = sorted(arrays)
     header = {
@@ -268,39 +280,73 @@ def checkpoint_save(path, model: GanfModel, extra: Optional[dict] = None):
         "arrays": [{"name": k, "shape": list(arrays[k].shape)} for k in names],
     }
     blob = json.dumps(header).encode()
+    parts = [_MAGIC, struct.pack("<II", _VERSION, len(blob)), blob]
+    parts += [np.ascontiguousarray(arrays[k], dtype="<f8").tobytes() for k in names]
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(blob)))
-        fh.write(blob)
-        for k in names:
-            fh.write(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
+
+
+def _parse_header(path, blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]:
+    """(header, [(array name, shape), ...]); CheckpointError if malformed."""
+    try:
+        header = json.loads(blob)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise CheckpointError(f"{path}: header is not JSON") from None
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise CheckpointError(f"{path}: header lacks 'config' or 'arrays'")
+    try:
+        entries = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+    except (KeyError, TypeError, ValueError):
+        raise CheckpointError(f"{path}: malformed array list in header") from None
+    for name, shape in entries:
+        if not isinstance(name, str) or any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: malformed array entry {name!r} {shape}")
+    return header, entries
 
 
 def checkpoint_load(path) -> GanfModel:
-    """Rebuild the saved model; its ``checkpoint_extra`` holds the header extras."""
+    """Rebuild the saved model; its ``checkpoint_extra`` holds the header extras.
+
+    Reads versions 1 and 2. Every problem with the file is a CheckpointError.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        head = fh.read(8)
-        if len(head) != 8:
-            raise CheckpointError(f"{path}: truncated header")
-        version, blob_len = struct.unpack("<II", head)
-        if version != _VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
-            raise CheckpointError(f"{path}: truncated header")
-        header = json.loads(blob)
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise CheckpointError(f"{path}: truncated array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    model = GanfModel(**header["config"])
+        data = fh.read()
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise CheckpointError(f"{path}: bad magic {data[:len(_MAGIC)]!r}")
+    if len(data) < _PREFIX:
+        raise CheckpointError(f"{path}: truncated header")
+    version, blob_len = struct.unpack_from("<II", data, len(_MAGIC))
+    if version == _VERSION:
+        data, digest = data[:-_DIGEST], data[-_DIGEST:]
+        if len(data) < _PREFIX or hashlib.sha256(data).digest() != digest:
+            raise CheckpointError(f"{path}: SHA-256 mismatch: the file is corrupt or truncated")
+    elif version != 1:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    end = _PREFIX + blob_len
+    if len(data) < end:
+        raise CheckpointError(f"{path}: truncated header")
+    header, entries = _parse_header(path, data[_PREFIX:end])
+    arrays = {}
+    for name, shape in entries:
+        size = 8 * math.prod(shape)
+        if len(data) - end < size:
+            raise CheckpointError(f"{path}: truncated array {name!r}")
+        arrays[name] = np.frombuffer(data, dtype="<f8", count=size // 8,
+                                     offset=end).reshape(shape).copy()
+        end += size
+    if end != len(data):
+        raise CheckpointError(f"{path}: {len(data) - end} trailing bytes after the arrays")
+    if header.get("config_hash") != _config_hash(header["config"]):
+        raise CheckpointError(f"{path}: config_hash does not match the header's config")
+    try:
+        model = GanfModel(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: unusable config: {exc}") from None
     _load_arrays(model, arrays)
     model.checkpoint_extra = header.get("extra", {})
     return model

@@ -36,6 +36,10 @@ def load_csv_rows(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.n
     step = min(b - a for a, b in zip(all_ts, all_ts[1:]))
     length = int(round((all_ts[-1] - all_ts[0]) / step)) + 1
     grid0 = all_ts[0]
+    for ts in all_ts:
+        offset = (ts - grid0) / step
+        if abs(offset - round(offset)) > 1e-6:
+            raise DataError(f"{path}: timestamp {ts!r} is off the grid {grid0!r} + k * {step!r}")
 
     values = np.full((len(entities), length, n_attr), np.nan)
     for e_idx, ent in enumerate(entities):

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganf import cli
 from ganf.cli import main, read_scores_csv
@@ -319,6 +321,42 @@ def test_eval_empty_input_file_exit_2(runner, tmp_path, empty):
                                "--hard", "--out", str(tmp_path / "e")])
     assert res.exit_code == 2, res.output
     assert f"{empty}.csv" in res.output
+
+
+@pytest.mark.parametrize("name,text", [
+    ("scores", "window_start,score\nx,2.0\n"),
+    ("scores", "window_start,score\n0\n"),
+    ("scores", "window_start,score,s0\n0,1.0,oops\n"),
+    ("labels", "window_start,label\n0,yes\n"),
+    ("labels", "window_start,label\n0\n")])
+def test_eval_malformed_file_exit_2(runner, tmp_path, name, text):
+    (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n10,2.0\n")
+    (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n10,1\n")
+    (tmp_path / f"{name}.csv").write_text(text)
+    res = runner.invoke(main, ["eval", "--scores", str(tmp_path / "scores.csv"),
+                               "--labels", str(tmp_path / "labels.csv"),
+                               "--hard", "--out", str(tmp_path / "e")])
+    assert res.exit_code == 2, res.output
+    assert f"{name}.csv: line 2" in res.output
+
+
+_score_cell = st.one_of(st.text(max_size=6), st.floats().map(repr),
+                        st.integers(-10**20, 10**20).map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.lists(_score_cell, min_size=1, max_size=4), max_size=6).map(
+        lambda rows: "\n".join(["window_start,score,s0"] + [",".join(r) for r in rows]))))
+def test_read_scores_csv_raises_only_data_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "scores.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        starts, scores, per_series = read_scores_csv(path)
+    except DataError:
+        return
+    assert scores.shape == starts.shape and per_series.shape == (len(starts), 1)
 
 
 def test_read_scores_csv_empty_raises_data_error(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ganf.dag import (LagrangianState, acyclicity, acyclicity_grad,
+from ganf.dag import (LagrangianState, _exp_squared, acyclicity, acyclicity_grad,
                       acyclicity_tensor, augmented_lagrangian,
                       dual_penalty_update, is_acyclic, threshold_dag)
 from ganf.tensor import GradientTape, ShapeError, Tensor, mul
@@ -122,6 +123,30 @@ def test_acyclicity_tensor_tape_grad_matches_closed_form_at_n64():
         h = acyclicity_tensor(a)
     tape.backward(h)
     np.testing.assert_allclose(a.grad, acyclicity_grad(a0), rtol=1e-12, atol=0.0)
+
+
+def test_acyclicity_follows_in_place_updates():
+    # Adam updates A.data in place, so the reused exponential is keyed on A's values
+    a = Tensor(np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [0.5, 0.0, 0.0]]),
+               requires_grad=True)
+    h0 = acyclicity_tensor(a).item()
+    assert acyclicity(a.data) == h0
+    a.data *= 2.0
+    want = np.trace(scipy.linalg.expm(a.data * a.data)) - 3.0
+    assert acyclicity(a.data) == pytest.approx(want, rel=1e-12) and want > 2 * h0
+    assert acyclicity_tensor(a).item() == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(acyclicity_grad(a.data),
+                               scipy.linalg.expm(a.data * a.data).T * (2.0 * a.data),
+                               rtol=1e-12)
+
+
+def test_reused_exponential_is_read_only():
+    a = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 4))
+    e = _exp_squared(a)
+    assert _exp_squared(a.copy()) is e
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0, 0] = 0.0
 
 
 def test_augmented_lagrangian_satisfied_constraint():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csv_reference import load_csv_rows
 from ganf.dag import acyclicity, is_acyclic
 from ganf.data import (DataError, SynthSpec, fit_norm_stats, inject_anomalies,
                        inject_series_anomalies, load_csv, make_windows,
-                       normalize, read_labels_csv, split_windows,
+                       normalize, read_labels_csv, read_window_csv, split_windows,
                        synth_generate, write_labels_csv, write_series_csv)
 
 
@@ -68,6 +68,24 @@ def test_load_csv_unreadable_text_is_data_error(tmp_path):
         load_csv(_write(tmp_path, "timestamp,entity,attr_1\n0,a,1\x00\n"))
 
 
+def test_load_csv_off_grid_timestamp_rejected(tmp_path):
+    # the grid is 0, 1, 2 (step: the smallest gap); 1.5 and 2.5 fall between
+    rows = ["timestamp,entity,attr_1", "0,a,1.0", "1.5,a,2.0", "2.5,a,3.0"]
+    path = _write(tmp_path, "\n".join(rows))
+    with pytest.raises(DataError, match=r"data.csv: timestamp 1.5 is off the grid") as got:
+        load_csv(path)
+    with pytest.raises(DataError) as want:
+        load_csv_rows(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_load_csv_accepts_rounding_noise_on_the_grid(tmp_path):
+    rows = ["timestamp,entity,attr_1"] + [f"{t * 0.1!r},a,{t}.0" for t in range(12)]
+    values, _, ts = load_csv(_write(tmp_path, "\n".join(rows)))
+    assert values[:, :, 0].tolist() == [[float(t) for t in range(12)]]
+    assert len(ts) == 12
+
+
 # long-format CSVs on which the vectorised reader must match the row-by-row one
 _REFERENCE_CASES = {
     "forward-fill": ["timestamp,entity,attr_1", "0,a,1.0", "0,b,5.0", "2,a,3.0",
@@ -117,6 +135,7 @@ def _numeric_csv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_numeric_csv())
+@example(("timestamp,entity,attr_1\n0,a,1.0\n2,a,2.0\n4,a,3.0\n7,a,4.0", 2))  # 7 is off-grid
 def test_load_csv_agrees_with_reference_on_numeric_csvs(tmp_path_factory, case):
     text, gap_limit = case
     path = tmp_path_factory.mktemp("csv") / "data.csv"
@@ -337,6 +356,42 @@ def test_read_labels_csv_empty_raises_data_error(tmp_path):
     path.write_text("")
     with pytest.raises(DataError):
         read_labels_csv(path)
+
+
+@pytest.mark.parametrize("row,what", [
+    ("20,yes", "line 3: non-numeric value"), ("x,1", "line 3: non-numeric value"),
+    ("2.5,1", "line 3: non-numeric value"), ("20", "line 3 has 1 columns"),
+    ("20,1,0", "line 3 has 3 columns")])
+def test_read_labels_csv_malformed_row_names_file_and_line(tmp_path, row, what):
+    path = _write(tmp_path, "\n".join(["window_start,label", "0,0", row]), "labels.csv")
+    with pytest.raises(DataError, match=f"labels.csv: {what}"):
+        read_labels_csv(path)
+
+
+_window_cell = st.one_of(st.text(max_size=6), st.floats().map(repr),
+                         st.integers(-10**20, 10**20).map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.lists(_window_cell, min_size=1, max_size=3), max_size=6).map(
+        lambda rows: "\n".join(["window_start,label"] + [",".join(r) for r in rows]))))
+def test_read_labels_csv_raises_only_data_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "labels.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        starts, labels = read_labels_csv(path)
+    except DataError:
+        return
+    assert starts.dtype == np.int64 and labels.shape == starts.shape
+
+
+def test_read_window_csv_keeps_extra_columns(tmp_path):
+    path = _write(tmp_path, "window_start,score,s0,s1\n0,1.5,1.0,0.5\n10,2.0,1.5,0.5\n")
+    starts, values = read_window_csv(path, ["window_start", "score"])
+    assert starts.tolist() == [0, 10]
+    assert values.tolist() == [[1.5, 1.0, 0.5], [2.0, 1.5, 0.5]]
 
 
 def test_spec_json_round_trip():

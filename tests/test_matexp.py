@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ganf.matexp import expm, expm_series
+from ganf.matexp import DEGREE, THETA, expm, expm_series
 from ganf.tensor import ShapeError
 
 
@@ -41,3 +43,22 @@ def test_expm_series_agrees_for_small_norm():
     m *= 1.0 / np.linalg.norm(m, np.inf)
     assert np.max(np.abs(expm(m) - expm_series(m, terms=20))) < 1e-10
 
+
+
+def test_taylor_degree_is_the_smallest_meeting_the_truncation_bound():
+    # sum_{k>m} theta^k / k! <= theta^(m+1) / (m+1)! * e^theta bounds the
+    # truncation error of the scaled polynomial relative to the 1-norm
+    def bound(m):
+        return THETA ** (m + 1) / math.factorial(m + 1) * math.exp(THETA)
+    assert bound(DEGREE) < 2.0 ** -53 <= bound(DEGREE - 1)
+
+
+@pytest.mark.parametrize("n", [5, 64, 256])
+@pytest.mark.parametrize("norm", [0.5, 1.9, 3.0])
+def test_expm_matches_scipy_on_hadamard_square(n, norm):
+    # the acyclicity constraint's argument A o A; norms below THETA take no
+    # squaring, 3.0 takes one
+    a = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, n))
+    m = a * a
+    m *= norm / np.linalg.norm(m, 1)
+    np.testing.assert_allclose(expm(m), scipy.linalg.expm(m), rtol=1e-13, atol=0.0)

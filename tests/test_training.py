@@ -1,16 +1,22 @@
+import hashlib
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ganf.dag
 from ganf.dag import augmented_lagrangian
 from ganf.data import (DataError, SynthSpec, make_windows, normalize, split_windows,
                        synth_generate)
 from ganf.model import GanfModel
 from ganf.tensor import GradientTape, Tensor
 from ganf.training import (Adam, CheckpointError, TrainConfig, TrainState,
-                           checkpoint_load, checkpoint_save, clip_gradients,
-                           inner_optimize, train, write_history)
+                           _config_hash, checkpoint_load, checkpoint_save,
+                           clip_gradients, inner_optimize, train, write_history)
 from ganf.dag import LagrangianState
 
 
@@ -88,13 +94,18 @@ def test_unconstrained_training_reduces_nll():
     assert epochs[-1]["train_nll"] <= epochs[0]["train_nll"] * 1.05
 
 
+_TIMING_KEYS = {"wall_s", "windows_per_s"}
+
+
 def test_training_determinism():
     split = _tiny_split()
     config = _tiny_config()
     _, a1, h1 = train(split.train, split.validation, config)
     _, a2, h2 = train(split.train, split.validation, config)
     np.testing.assert_array_equal(a1, a2)
-    assert json.dumps(h1) == json.dumps(h2)
+    # wall-clock telemetry is the only part of a record that may differ
+    untimed = lambda h: [{k: v for k, v in r.items() if k not in _TIMING_KEYS} for r in h]
+    assert json.dumps(untimed(h1)) == json.dumps(untimed(h2))
 
 
 def test_single_node_exits_immediately():
@@ -208,24 +219,142 @@ def test_checkpoint_bad_magic(tmp_path):
         checkpoint_load(path)
 
 
+def _forge(path, header, payload: bytes, version: int = 2):
+    """A checkpoint file from a header (dict or raw bytes) and array payload.
+
+    A version-2 file gets the digest of its bytes, so only the header or
+    payload can be at fault.
+    """
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    body = b"GANFCKPT" + struct.pack("<II", version, len(blob)) + blob + payload
+    path.write_bytes(body + (hashlib.sha256(body).digest() if version == 2 else b""))
+    return path
+
+
+def _small_model() -> GanfModel:
+    return GanfModel(n_series=2, input_dim=1, hidden_dim=4, flow_blocks=2, flow_hidden=8)
+
+
+def _saved_parts(path) -> tuple[dict, bytes]:
+    """(header, array payload) of a version-2 checkpoint."""
+    blob = path.read_bytes()
+    _, blob_len = struct.unpack("<II", blob[8:16])
+    return json.loads(blob[16:16 + blob_len]), blob[16 + blob_len:-32]
+
+
 def test_checkpoint_shape_mismatch_names_array(tmp_path):
     split = _tiny_split(n=2)
     model, _, _ = train(split.train, split.validation, _tiny_config())
     path = tmp_path / "model.ganf"
     checkpoint_save(path, model)
-    # forge the header so the adjacency claims n=3
-    import struct
-    blob = path.read_bytes()
-    _, blob_len = struct.unpack("<II", blob[8:16])
-    header = json.loads(blob[16:16 + blob_len])
+    # forge the header, with a matching hash and digest, so the adjacency claims n=3
+    header, payload = _saved_parts(path)
     header["config"]["n_series"] = 3
-    forged = json.dumps(header).encode()
-    out = (blob[:8] + struct.pack("<II", 1, len(forged)) + forged
-           + blob[16 + blob_len:])
-    bad = tmp_path / "forged.ganf"
-    bad.write_bytes(out)
+    header["config_hash"] = _config_hash(header["config"])
+    bad = _forge(tmp_path / "forged.ganf", header, payload)
     with pytest.raises(CheckpointError, match="'A'"):
         checkpoint_load(bad)
+
+
+def test_checkpoint_version_1_still_loads(tmp_path):
+    model = _small_model()
+    checkpoint_save(tmp_path / "v2.ganf", model, extra={"note": 1})
+    header, payload = _saved_parts(tmp_path / "v2.ganf")
+    again = checkpoint_load(_forge(tmp_path / "v1.ganf", header, payload, version=1))
+    assert again.checkpoint_extra == {"note": 1}
+    for name, value in model.all_arrays().items():
+        np.testing.assert_array_equal(again.all_arrays()[name], value)
+
+
+def _without(key):
+    return lambda header, payload: ({k: v for k, v in header.items() if k != key}, payload)
+
+
+@pytest.mark.parametrize("forge,message", [
+    (lambda header, payload: (b"{not json", payload), "not JSON"),
+    (_without("config"), "lacks 'config' or 'arrays'"),
+    (_without("arrays"), "lacks 'config' or 'arrays'"),
+    (lambda header, payload: (header, payload + b"\0" * 8), "8 trailing bytes"),
+    (lambda header, payload: ({**header, "config_hash": "0" * 16}, payload), "config_hash"),
+])
+def test_checkpoint_malformed_contents_raise_checkpoint_error(tmp_path, forge, message):
+    checkpoint_save(tmp_path / "good.ganf", _small_model())
+    bad = _forge(tmp_path / "bad.ganf", *forge(*_saved_parts(tmp_path / "good.ganf")))
+    with pytest.raises(CheckpointError, match=message):
+        checkpoint_load(bad)
+
+
+def test_checkpoint_flipped_payload_byte_fails_digest(tmp_path):
+    path = tmp_path / "model.ganf"
+    checkpoint_save(path, _small_model())
+    blob = bytearray(path.read_bytes())
+    blob[-40] ^= 0x01       # the last array's last byte, inside the digested bytes
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="SHA-256"):
+        checkpoint_load(path)
+
+
+_corruption = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**9), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**9)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corruption)
+def test_corrupted_checkpoint_raises_only_checkpoint_error(tmp_path_factory, corruption):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ganf"
+    checkpoint_save(path, _small_model())
+    blob = bytearray(path.read_bytes())
+    kind, *args = corruption
+    if kind == "flip":
+        blob[args[0] % len(blob)] ^= args[1]
+    elif kind == "truncate":
+        del blob[args[0] % len(blob):]
+    else:
+        blob += args[0]
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError):
+        checkpoint_load(path)
+
+
+# the keys each history record kind carries (README lists them); an epoch
+# record may also carry ``lr_decayed_to``
+_RECORD_KEYS = {
+    "epoch": {"kind", "outer", "epoch", "train_loss", "train_nll", "val_log_density", "lr",
+              "h", "lambda", "c", "grad_norm", "wall_s", "windows_per_s"},
+    "outer": {"kind", "outer", "h", "lambda", "c", "wall_s"},
+    "final": {"kind", "converged", "warning", "h", "best_val_log_density"},
+}
+
+
+def test_history_records_carry_documented_keys():
+    split = _tiny_split()
+    _, _, history = train(split.train, split.validation, _tiny_config(inner_epochs=4))
+    assert {r["kind"] for r in history} == set(_RECORD_KEYS)
+    for record in history:
+        assert set(record) - {"lr_decayed_to"} == _RECORD_KEYS[record["kind"]]
+        for key in ("grad_norm", "wall_s", "windows_per_s"):
+            if key in record:
+                value = record[key]
+                assert isinstance(value, float) and math.isfinite(value) and value > 0.0
+
+
+def test_train_computes_one_exponential_per_distinct_adjacency(monkeypatch):
+    # the first step of each later epoch, and the final h, see the A of the last
+    # epoch record, so they reuse its exponential
+    split = _tiny_split(n=3)
+    config = _tiny_config(max_outer_iters=1, inner_epochs=3)
+    calls = []
+    expm = ganf.dag.expm
+    monkeypatch.setattr(ganf.dag, "expm", lambda m: calls.append(1) or expm(m))
+    monkeypatch.setattr(ganf.dag, "_last_exp", None)
+    _, _, history = train(split.train, split.validation, config)
+    # no feasible snapshot, so the final h is taken on the last epoch's A
+    assert all(r["h"] >= config.h_tol for r in history if r["kind"] == "epoch")
+    assert not history[-1]["converged"]
+    batches = -(-split.train.shape[0] // config.batch_size)
+    assert len(calls) == config.inner_epochs * batches + 1
 
 
 def test_write_history_jsonl(tmp_path):
