@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import closing
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -20,54 +21,86 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-# a timestamp may sit this many steps off the grid grid0 + k * step
+# a timestamp may sit this many steps off the grid grid0 + k * step, on top of
+# the rounding of its float value
 _GRID_TOL = 1e-6
 
 
 # ---------------------------------------------------------------- ingestion
+
+def _csv_rows(path, header_ok, expected: str):
+    """Yield the header of the CSV at ``path``, then (line number, row) for
+    each non-empty row.
+
+    A header that ``header_ok`` refuses, a row whose width differs from the
+    header's and an unreadable file are each a :class:`DataError`.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or not header_ok(header):
+                raise DataError(f"{path}: expected header '{expected}', got {header}")
+            yield header
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {reader.line_num} has {len(row)} "
+                                    f"columns, the header has {len(header)}")
+                yield reader.line_num, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
+def _grid_step(all_ts: np.ndarray) -> tuple[float, float]:
+    """(step, rounding) of sorted distinct timestamps.
+
+    The step is the smallest gap. When every gap is a whole number of such
+    steps it is refined to span / steps, so its rounding error does not grow
+    with the step count. ``rounding`` bounds, in steps, how far float rounding
+    can move an on-grid timestamp's offset from an integer.
+    """
+    gaps = np.diff(all_ts)
+    step = gaps.min()
+    # bound on the rounding error of a difference of two parsed timestamps
+    noise = 4 * np.finfo(float).eps * max(abs(all_ts[0]), abs(all_ts[-1]))
+    per_gap = np.rint(gaps / step)
+    if (np.abs(gaps / step - per_gap) <= _GRID_TOL + (per_gap + 1) * noise / step).all():
+        step = (all_ts[-1] - all_ts[0]) / per_gap.sum()
+    return step, 2 * noise / step
+
 
 def load_csv(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Read a long-format CSV into a dense (n, L, D) array.
 
     Returns (values, entity_ids, timestamps). The grid starts at the
     earliest timestamp and its step is the smallest gap between distinct
-    timestamps; a timestamp more than 1e-6 steps off it is an error. A
-    reading with a NaN in any attribute counts as missing. Every error is a
-    :class:`DataError`; per entity (in name order) the first one found is a
-    non-monotone timestamp, then a missing first step, then a long gap.
+    timestamps; a timestamp more than 1e-6 steps, plus its float rounding,
+    off it is an error. A reading with a NaN in any attribute counts as
+    missing. Every error is a :class:`DataError`; per entity (in name order)
+    the first one found is a non-monotone timestamp, then a missing first
+    step, then a long gap.
     """
     stamps: list[float] = []
     codes: list[int] = []       # entity of each row, in order of first appearance
     cells: list[float] = []     # attribute values, row after row
     index: dict[str, int] = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if (header is None or len(header) < 3 or header[0] != "timestamp"
-                    or header[1] != "entity"):
-                raise DataError(
-                    f"{path}: expected header 'timestamp,entity,attr_1,...', got {header}")
-            width = len(header)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise DataError(f"{path}: line {reader.line_num} has {len(row)} "
-                                    f"columns, the header has {width}")
-                try:
-                    stamps.append(float(row[0]))
-                except ValueError:
-                    raise DataError(f"{path}: line {reader.line_num}: non-numeric "
-                                    f"timestamp {row[0]!r}") from None
-                try:
-                    cells.extend(map(float, row[2:]))
-                except ValueError:
-                    raise DataError(f"{path}: line {reader.line_num}: non-numeric "
-                                    f"value in {row[2:]}") from None
-                codes.append(index.setdefault(row[1], len(index)))
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    with closing(_csv_rows(path, lambda h: len(h) >= 3 and h[:2] == ["timestamp", "entity"],
+                           "timestamp,entity,attr_1,...")) as rows:
+        width = len(next(rows))
+        for line, row in rows:
+            try:
+                stamps.append(float(row[0]))
+            except ValueError:
+                raise DataError(f"{path}: line {line}: non-numeric "
+                                f"timestamp {row[0]!r}") from None
+            try:
+                cells.extend(map(float, row[2:]))
+            except ValueError:
+                raise DataError(f"{path}: line {line}: non-numeric "
+                                f"value in {row[2:]}") from None
+            codes.append(index.setdefault(row[1], len(index)))
 
     if not stamps:
         raise DataError(f"{path}: no data rows")
@@ -82,13 +115,13 @@ def load_csv(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.ndarra
     all_ts = np.unique(ts)
     if len(all_ts) < 2:
         raise DataError(f"{path}: need at least two time steps")
-    step = np.diff(all_ts).min()
+    step, rounding = _grid_step(all_ts)
     grid0 = all_ts[0]
     offset = (ts - grid0) / step
     pos = np.rint(offset)                   # float: checked before it sizes anything
     if not np.isfinite(pos).all():
         raise DataError(f"{path}: timestamps span too many steps of {step}")
-    off_grid = np.abs(offset - pos) > _GRID_TOL
+    off_grid = np.abs(offset - pos) > _GRID_TOL + rounding
     if off_grid.any():
         raise DataError(f"{path}: timestamp {float(ts[off_grid].min())!r} is off the "
                         f"grid {float(grid0)!r} + k * {float(step)!r}")
@@ -400,28 +433,14 @@ def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """
     starts: list[int] = []
     values: list[list[float]] = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            head = next(reader, None)
-            if head is None or head[:len(header)] != header:
-                raise DataError(
-                    f"{path}: expected header '{','.join(header)}', got {head}")
-            width = len(head)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise DataError(f"{path}: line {reader.line_num} has {len(row)} "
-                                    f"columns, the header has {width}")
-                try:
-                    starts.append(int(row[0]))
-                    values.append([float(v) for v in row[1:]])
-                except ValueError:
-                    raise DataError(f"{path}: line {reader.line_num}: non-numeric "
-                                    f"value in {row}") from None
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    with closing(_csv_rows(path, lambda h: h[:len(header)] == header, ",".join(header))) as rows:
+        width = len(next(rows))
+        for line, row in rows:
+            try:
+                starts.append(int(row[0]))
+                values.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise DataError(f"{path}: line {line}: non-numeric value in {row}") from None
     try:
         start_array = np.array(starts, dtype=np.int64)
     except OverflowError:

@@ -294,7 +294,7 @@ def _parse_header(path, blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, .
     """(header, [(array name, shape), ...]); CheckpointError if malformed."""
     try:
         header = json.loads(blob)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         raise CheckpointError(f"{path}: header is not JSON") from None
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
             and isinstance(header.get("arrays"), list)):

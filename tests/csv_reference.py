@@ -8,6 +8,7 @@ two on well-formed numeric CSVs.
 from __future__ import annotations
 
 import csv
+import sys
 
 import numpy as np
 
@@ -33,12 +34,20 @@ def load_csv_rows(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.n
     all_ts = sorted({ts for rows in per_entity.values() for ts, _ in rows})
     if len(all_ts) < 2:
         raise DataError(f"{path}: need at least two time steps")
-    step = min(b - a for a, b in zip(all_ts, all_ts[1:]))
+    gaps = [b - a for a, b in zip(all_ts, all_ts[1:])]
+    step = min(gaps)
+    # a difference of two parsed timestamps is off by at most this much
+    noise = 4 * sys.float_info.epsilon * max(abs(all_ts[0]), abs(all_ts[-1]))
+    # every gap a whole number of smallest gaps: the step is the span over their count
+    counts = [round(gap / step) for gap in gaps]
+    if all(abs(gap / step - count) <= 1e-6 + (count + 1) * noise / step
+           for gap, count in zip(gaps, counts)):
+        step = (all_ts[-1] - all_ts[0]) / sum(counts)
     length = int(round((all_ts[-1] - all_ts[0]) / step)) + 1
     grid0 = all_ts[0]
     for ts in all_ts:
         offset = (ts - grid0) / step
-        if abs(offset - round(offset)) > 1e-6:
+        if abs(offset - round(offset)) > 1e-6 + 2 * noise / step:
             raise DataError(f"{path}: timestamp {ts!r} is off the grid {grid0!r} + k * {step!r}")
 
     values = np.full((len(entities), length, n_attr), np.nan)

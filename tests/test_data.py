@@ -86,6 +86,28 @@ def test_load_csv_accepts_rounding_noise_on_the_grid(tmp_path):
     assert len(ts) == 12
 
 
+@pytest.mark.parametrize("stamps", [
+    # Unix seconds at 100 ms: the smallest gap parses as 0.0999999046
+    ["1700000000.0", "1700000000.1", "1700000000.2"],
+    # the smallest gap's rounding, times 1e5 steps, is larger than 1e-6 steps
+    [repr(k * 0.1) for k in range(100_000)],
+    [f"{1_700_000_000 + k / 1000:.3f}" for k in range(0, 100_000, 3)],
+], ids=["epoch-seconds-3", "tenths-1e5", "epoch-milliseconds-1e5"])
+def test_load_csv_accepts_float_rounding_at_scale(tmp_path, stamps):
+    rows = ["timestamp,entity,attr_1"] + [f"{t},a,{k}.0" for k, t in enumerate(stamps)]
+    values, _, ts = load_csv(_write(tmp_path, "\n".join(rows)))
+    assert values[0, :, 0].tolist() == [float(k) for k in range(len(stamps))]
+    parsed = np.asarray(stamps, dtype=float)
+    np.testing.assert_allclose(ts - ts[0], parsed - parsed[0], rtol=0,
+                               atol=1e-3 * (parsed[1] - parsed[0]))
+
+
+def test_load_csv_off_grid_epoch_seconds_rejected(tmp_path):
+    rows = ["timestamp,entity,attr_1", "1700000000.0,a,1", "1700000000.1,a,2", "1700000000.25,a,3"]
+    with pytest.raises(DataError, match=r"timestamp 1700000000.25 is off the grid"):
+        load_csv(_write(tmp_path, "\n".join(rows)))
+
+
 # long-format CSVs on which the vectorised reader must match the row-by-row one
 _REFERENCE_CASES = {
     "forward-fill": ["timestamp,entity,attr_1", "0,a,1.0", "0,b,5.0", "2,a,3.0",
@@ -127,8 +149,9 @@ def _numeric_csv(draw):
     if draw(st.booleans()):
         rows.sort(key=lambda r: r[0])     # time-major, as most exports are
     scale = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    origin = draw(st.sampled_from([0.0, 1_700_000_000.0]))   # Unix seconds round the step
     header = ",".join(["timestamp", "entity"] + [f"attr_{k + 1}" for k in range(n_attr)])
-    body = [",".join([repr(t * scale), ent] + [repr(v) for v in cells])
+    body = [",".join([repr(origin + t * scale), ent] + [repr(v) for v in cells])
             for t, ent, cells in rows]
     return "\n".join([header] + body), draw(st.integers(0, 3))
 

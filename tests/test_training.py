@@ -276,8 +276,11 @@ def _without(key):
     (_without("arrays"), "lacks 'config' or 'arrays'"),
     (lambda header, payload: (header, payload + b"\0" * 8), "8 trailing bytes"),
     (lambda header, payload: ({**header, "config_hash": "0" * 16}, payload), "config_hash"),
+    # version 1 has no digest, so the parser itself meets the nested header
+    (lambda header, payload: (b"[" * 100_000, payload, 1), "header is not JSON"),
 ])
 def test_checkpoint_malformed_contents_raise_checkpoint_error(tmp_path, forge, message):
+    """``forge`` maps (header, payload) to the forged file's (header, payload[, version])."""
     checkpoint_save(tmp_path / "good.ganf", _small_model())
     bad = _forge(tmp_path / "bad.ganf", *forge(*_saved_parts(tmp_path / "good.ganf")))
     with pytest.raises(CheckpointError, match=message):
