@@ -146,7 +146,8 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
     except (ValueError, TypeError) as exc:
         raise click.UsageError(f"bad training config: {exc}")
     out = Path(out_dir)
-    _echo_config(out, {**cfg, **window_cfg, "command": "train"})
+    _echo_config(out, {**cfg, **window_cfg, "command": "train",
+                       "blas_threads": _blas_threads()})
     try:
         series, entities, _ = dat.load_csv(data_csv, gap_limit=window_cfg["gap_limit"])
         windows, starts = dat.make_windows(series, window_cfg["window_len"],
@@ -423,23 +424,24 @@ def cmd_export_graph(checkpoints, epsilon, out_dir):
 @main.command("bench")
 @click.option("--grid", default="8,20;8,40;16,20", show_default=True,
               help="Semicolon-separated n,T cells.")
-@click.option("--batch", default=8, show_default=True)
-@click.option("--attrs", default=1, show_default=True)
-@click.option("--hidden", default=8, show_default=True)
-@click.option("--iters", default=5, show_default=True)
+@click.option("--batch", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--attrs", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--hidden", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--iters", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_bench(grid, batch, attrs, hidden, iters, seed, out_dir):
     """Wall time per training iteration over an (n, T) grid at fixed B and D."""
     try:
         cells = [tuple(int(v) for v in cell.split(",")) for cell in grid.split(";") if cell]
-        if any(len(c) != 2 for c in cells):
+        if any(len(c) != 2 or min(c) < 1 for c in cells):
             raise ValueError
     except ValueError:
-        raise click.UsageError(f"--grid must look like 'n,T;n,T', got {grid!r}")
+        raise click.UsageError(f"--grid must look like 'n,T;n,T' with n, T >= 1, got {grid!r}")
     out = Path(out_dir)
     _echo_config(out, {"command": "bench", "grid": grid, "batch": batch,
-                       "attrs": attrs, "hidden": hidden, "iters": iters, "seed": seed})
+                       "attrs": attrs, "hidden": hidden, "iters": iters, "seed": seed,
+                       "blas_threads": _blas_threads()})
     rows = []
     for n, t_len in cells:
         rows.append((n, t_len, bench_iteration(n, t_len, batch, attrs, hidden,

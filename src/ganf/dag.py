@@ -125,20 +125,22 @@ def threshold_dag(a: np.ndarray, eps: float) -> tuple[list[tuple[int, int, float
     return edges, is_acyclic(n, [(j, i) for j, i, _ in edges])
 
 
-def is_acyclic(n: int, edges: list[tuple[int, int]]) -> bool:
-    """Kahn's algorithm on an edge list of (parent, child) pairs."""
+def topological_order(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Kahn's algorithm on (parent, child) pairs; shorter than n exactly when cyclic."""
     indeg = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
     for j, i in edges:
         children[j].append(i)
         indeg[i] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    for v in order:   # also visits the nodes appended below
         for w in children[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    return seen == n
+                order.append(w)
+    return order
+
+
+def is_acyclic(n: int, edges: list[tuple[int, int]]) -> bool:
+    """Whether the (parent, child) edge list has no cycle."""
+    return len(topological_order(n, edges)) == n

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dag import is_acyclic
+from .dag import topological_order
 
 
 class DataError(ValueError):
@@ -274,15 +274,12 @@ class SynthSpec:
 
 
 def _ground_truth_dag(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    """Weighted adjacency, acyclic by construction; A[i, j] != 0 <=> j -> i."""
+    """Weighted adjacency, A[i, j] != 0 <=> j -> i; a generated one is acyclic."""
     n = spec.n_series
     if spec.adjacency is not None:
         a = np.asarray(spec.adjacency, dtype=np.float64)
         if a.shape != (n, n):
             raise DataError(f"spec adjacency shape {a.shape} does not match n={n}")
-        if not is_acyclic(n, [(j, i) for i in range(n) for j in range(n)
-                              if i != j and a[i, j] != 0.0]):
-            raise DataError("spec adjacency is cyclic")
         return a
     # strictly lower-triangular in a hidden random node order
     a = np.zeros((n, n))
@@ -305,7 +302,9 @@ def synth_generate(spec: SynthSpec, length: int,
     rng = np.random.default_rng(seed)
     a = _ground_truth_dag(spec, rng)
     n, d = spec.n_series, spec.n_attrs
-    order = _topo_order(a)
+    order = topological_order(n, [(j, i) for i, j in np.argwhere(a).tolist() if i != j])
+    if len(order) < n:
+        raise DataError("spec adjacency is cyclic")
     series = np.zeros((n, length, d))
     noise = rng.normal(0.0, spec.noise_std, size=(n, length, d))
     for t in range(length):
@@ -318,28 +317,6 @@ def synth_generate(spec: SynthSpec, length: int,
                 val = val + a[i, j] * series[j, t]
             series[i, t] = val
     return series, a
-
-
-def _topo_order(a: np.ndarray) -> list[int]:
-    n = a.shape[0]
-    edges = [(j, i) for i in range(n) for j in range(n) if i != j and a[i, j] != 0.0]
-    indeg = [0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for j, i in edges:
-        children[j].append(i)
-        indeg[i] += 1
-    queue = sorted(v for v in range(n) if indeg[v] == 0)
-    order = []
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for w in children[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != n:
-        raise DataError("cyclic ground-truth adjacency")
-    return order
 
 
 def _perturb_window(window: np.ndarray, node: int, spec: SynthSpec,

@@ -5,9 +5,10 @@ Every block maps (x in R^D, condition in R^c) -> (z in R^D, logdet) with
 z_i = (x_i - mu_i) * exp(alpha_i). Final mu/alpha layers are zero-initialized
 so each block starts as the identity; alpha is soft-clamped to +-ALPHA_CLAMP.
 
-The forward pass runs in NumPy (each block's ``_mu_alpha_np``) and is
-recorded as one tape op per call, whose backward pass walks the blocks in
-reverse with each block's hand-written ``_vjp``.
+A stack call builds the blocks' shared operand [d, 1] once. Its forward
+pass runs in NumPy (each block's ``_conditioner``) and is recorded as one
+tape op per call, whose backward pass walks the blocks in reverse with
+each block's hand-written ``_conditioner_vjp``.
 """
 from __future__ import annotations
 
@@ -57,9 +58,10 @@ def _made_masks(input_dim: int, hidden: int) -> tuple[np.ndarray, np.ndarray]:
 class _Block:
     """What MAF and coupling blocks share: parameters, the conditioner and its VJP.
 
-    The conditioner is h = ReLU([x, d, 1] @ w_in), [mu, pre-alpha] = h @ w_out
-    + b_out, with each block's masks folded into ``_weights``. Putting the
-    bias in the GEMM as a column of ones spares a pass over the rows.
+    The conditioner is h = ReLU(dd @ [w_c; b_h] + x @ w_x), [mu, pre-alpha]
+    = h @ w_out + b_out, masks folded into ``_split``. The stack's blocks share
+    one operand dd = [d, 1], so none copies d. The x term is skipped where the
+    masks hide x: a MAF block with D = 1, a coupling block with nothing frozen.
     """
 
     _PARAMS: tuple[str, ...] = ()
@@ -72,31 +74,40 @@ class _Block:
         """(z, logdet) of this block alone."""
         return _forward_ops([self], False, x, d)
 
-    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w_in, w_out, b_out) with the block's masks applied."""
+    def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The x this block alone maps to z under condition d."""
+        return self._inverse(z, _with_ones(d))
+
+    def _split(self) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """(w_x or None if the masks hide x, [w_c; b_h], w_out, b_out), masked."""
         raise NotImplementedError
 
-    def _param_grads(self, g_w_in, g_w_out, g_b_out) -> tuple[np.ndarray, ...]:
-        """Gradients of ``_weights``' outputs mapped onto ``_PARAMS``."""
+    def _param_grads(self, g_w_x, g_w_dd, g_w_out, g_b_out) -> tuple[np.ndarray, ...]:
+        """Gradients of ``_split``'s outputs mapped onto ``_PARAMS``."""
         raise NotImplementedError
 
-    def _mu_alpha_np(self, x: np.ndarray, d: np.ndarray):
-        """(mu, alpha, cache for ``_vjp``) of the conditioner."""
-        inp = np.hstack([x, d, np.ones((x.shape[0], 1))])
-        w_in, w_out, b_out = self._weights()
-        h = np.maximum(inp @ w_in, 0.0)
+    def _conditioner(self, x: np.ndarray, dd: np.ndarray):
+        """(mu, alpha, cache for ``_conditioner_vjp``)."""
+        weights = w_x, w_dd, w_out, b_out = self._split()
+        h = dd @ w_dd
+        if w_x is not None:
+            h += x @ w_x
+        np.maximum(h, 0.0, out=h)
         out = h @ w_out + b_out
         dim = self.input_dim
-        return out[:, :dim], _clamp_alpha_np(out[:, dim:]), (inp, h, w_in, w_out)
+        return out[:, :dim], _clamp_alpha_np(out[:, dim:]), (x, h, weights)
 
-    def _vjp(self, cache, alpha, g_mu, g_alpha):
-        """(dL/dx, dL/dd, parameter grads) through the conditioner alone."""
-        inp, h, w_in, w_out = cache
+    def _conditioner_vjp(self, cache, dd: np.ndarray, alpha, g_mu, g_alpha,
+                         g_d: np.ndarray):
+        """(dL/dx or None, parameter grads) through the conditioner; adds dL/dd to g_d."""
+        x, h, (w_x, w_dd, w_out, _) = cache
         g_out = np.hstack([g_mu, g_alpha * _clamp_grad(alpha)])
-        g_h = (g_out @ w_out.T) * (h > 0)
-        g_inp = g_h @ w_in[:-1].T
-        grads = self._param_grads(inp.T @ g_h, h.T @ g_out, g_out.sum(axis=0))
-        return g_inp[:, :self.input_dim], g_inp[:, self.input_dim:], grads
+        g_h = g_out @ w_out.T
+        g_h *= h > 0
+        g_d += g_h @ w_dd[:-1].T
+        g_x = None if w_x is None else g_h @ w_x.T
+        g_w_x = np.zeros((self.input_dim, h.shape[1])) if w_x is None else x.T @ g_h
+        return g_x, self._param_grads(g_w_x, dd.T @ g_h, h.T @ g_out, g_out.sum(axis=0))
 
 
 class MafBlock(_Block):
@@ -120,21 +131,22 @@ class MafBlock(_Block):
         self.w_a = Tensor(np.zeros((hidden, input_dim)), requires_grad=True)
         self.b_a = Tensor(np.zeros(input_dim), requires_grad=True)
 
-    def _weights(self):
-        w_in = np.vstack([self.w_x.data * self.mask_in, self.w_c.data, self.b_h.data])
+    def _split(self):
         w_out = np.hstack([self.w_mu.data, self.w_a.data]) * np.tile(self.mask_out, 2)
-        return w_in, w_out, np.concatenate([self.b_mu.data, self.b_a.data])
+        return (self.w_x.data * self.mask_in if self.mask_in.any() else None,
+                np.vstack([self.w_c.data, self.b_h.data]), w_out,
+                np.concatenate([self.b_mu.data, self.b_a.data]))
 
-    def _param_grads(self, g_w_in, g_w_out, g_b_out):
+    def _param_grads(self, g_w_x, g_w_dd, g_w_out, g_b_out):
         dim = self.input_dim
-        return (g_w_in[:dim] * self.mask_in, g_w_in[dim:-1], g_w_in[-1],
+        return (g_w_x * self.mask_in, g_w_dd[:-1], g_w_dd[-1],
                 g_w_out[:, :dim] * self.mask_out, g_b_out[:dim],
                 g_w_out[:, dim:] * self.mask_out, g_b_out[dim:])
 
-    def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def _inverse(self, z: np.ndarray, dd: np.ndarray) -> np.ndarray:
         x = np.zeros_like(z)
         for i in range(self.input_dim):
-            mu, alpha, _ = self._mu_alpha_np(x, d)
+            mu, alpha, _ = self._conditioner(x, dd)
             x[:, i] = z[:, i] * np.exp(-alpha[:, i]) + mu[:, i]
         return x
 
@@ -148,6 +160,8 @@ class CouplingBlock(_Block):
                  rng: np.random.Generator, parity: int = 0):
         self.input_dim = input_dim
         self.cond_dim = cond_dim
+        # the conditioner sees the frozen coordinates and the condition, and
+        # moves only the active coordinates
         self.mask = ((np.arange(input_dim) % 2) == (parity % 2)).astype(np.float64)
         fan = input_dim + cond_dim
         self.w_h = Tensor(_uniform_init(rng, fan, (fan, hidden)), requires_grad=True)
@@ -157,31 +171,32 @@ class CouplingBlock(_Block):
         self.w_a = Tensor(np.zeros((hidden, input_dim)), requires_grad=True)
         self.b_a = Tensor(np.zeros(input_dim), requires_grad=True)
 
-    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
-        # the conditioner sees the frozen coordinates and the condition, and
-        # moves only the active coordinates
-        seen = np.concatenate([self.mask, np.ones(self.cond_dim)])[:, None]
-        return seen, np.tile(1.0 - self.mask, 2)
-
-    def _weights(self):
-        seen, active = self._masks()
-        w_out = np.hstack([self.w_mu.data, self.w_a.data]) * active
-        return (np.vstack([self.w_h.data * seen, self.b_h.data]), w_out,
+    def _split(self):
+        dim, active = self.input_dim, np.tile(1.0 - self.mask, 2)
+        w_h = self.w_h.data
+        return (w_h[:dim] * self.mask[:, None] if self.mask.any() else None,
+                np.vstack([w_h[dim:], self.b_h.data]),
+                np.hstack([self.w_mu.data, self.w_a.data]) * active,
                 np.concatenate([self.b_mu.data, self.b_a.data]) * active)
 
-    def _param_grads(self, g_w_in, g_w_out, g_b_out):
-        seen, active = self._masks()
-        g_w_out, g_b_out, dim = g_w_out * active, g_b_out * active, self.input_dim
-        return (g_w_in[:-1] * seen, g_w_in[-1], g_w_out[:, :dim], g_b_out[:dim],
-                g_w_out[:, dim:], g_b_out[dim:])
+    def _param_grads(self, g_w_x, g_w_dd, g_w_out, g_b_out):
+        dim, active = self.input_dim, np.tile(1.0 - self.mask, 2)
+        g_w_out, g_b_out = g_w_out * active, g_b_out * active
+        return (np.vstack([g_w_x * self.mask[:, None], g_w_dd[:-1]]), g_w_dd[-1],
+                g_w_out[:, :dim], g_b_out[:dim], g_w_out[:, dim:], g_b_out[dim:])
 
-    def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def _inverse(self, z: np.ndarray, dd: np.ndarray) -> np.ndarray:
         # mu/alpha depend only on the frozen half, which z carries unchanged
-        mu, alpha, _ = self._mu_alpha_np(z, d)
+        mu, alpha, _ = self._conditioner(z, dd)
         return z * np.exp(-alpha) + mu
 
 
-def _run(blocks: Sequence[_Block], flip: bool, x: np.ndarray, d: np.ndarray,
+def _with_ones(d: np.ndarray) -> np.ndarray:
+    """The conditioners' shared operand dd = [d, 1]."""
+    return np.hstack([d, np.ones((d.shape[0], 1))])
+
+
+def _run(blocks: Sequence[_Block], flip: bool, x: np.ndarray, dd: np.ndarray,
          keep: bool):
     """(z, summed logdet, per-block caches) of ``blocks`` applied in order.
 
@@ -191,7 +206,7 @@ def _run(blocks: Sequence[_Block], flip: bool, x: np.ndarray, d: np.ndarray,
     logdet = np.zeros(x.shape[0])
     caches = []
     for k, block in enumerate(blocks):
-        mu, alpha, cache = block._mu_alpha_np(x, d)
+        mu, alpha, cache = block._conditioner(x, dd)
         e = np.exp(alpha)
         z = (x - mu) * e
         if not np.all(np.isfinite(z)):
@@ -203,19 +218,18 @@ def _run(blocks: Sequence[_Block], flip: bool, x: np.ndarray, d: np.ndarray,
     return x, logdet, caches
 
 
-def _run_vjp(blocks: Sequence[_Block], flip: bool, caches, d: np.ndarray,
+def _run_vjp(blocks: Sequence[_Block], flip: bool, caches, dd: np.ndarray,
              g_z: np.ndarray, g_logdet: np.ndarray):
     """Walk ``blocks`` in reverse: (dL/dx, dL/dd, parameter grads in order)."""
-    g_d = np.zeros_like(d)
+    g_d = np.zeros((dd.shape[0], dd.shape[1] - 1))
     grads: list[np.ndarray] = []
     for k in range(len(blocks) - 1, -1, -1):
         if flip and k + 1 < len(blocks):
             g_z = g_z[:, ::-1]
         cache, alpha, e, z = caches[k]
-        g_x, g_dk, g_params = blocks[k]._vjp(cache, alpha, -g_z * e,
-                                             g_z * z + g_logdet[:, None])
-        g_d += g_dk
-        g_z = g_z * e + g_x
+        g_x, g_params = blocks[k]._conditioner_vjp(cache, dd, alpha, -g_z * e,
+                                                   g_z * z + g_logdet[:, None], g_d)
+        g_z = g_z * e if g_x is None else g_z * e + g_x
         grads[:0] = g_params
     return g_z, g_d, grads
 
@@ -225,12 +239,12 @@ def _params(blocks: Sequence[_Block]) -> list[Tensor]:
 
 
 def _emit_run(blocks: Sequence[_Block], flip: bool, x: Tensor, d: Tensor,
-              out: np.ndarray, caches,
+              dd: np.ndarray, out: np.ndarray, caches,
               upstream: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> Tensor:
     """Record ``out`` as one op; ``upstream`` maps its gradient to (dL/dz, dL/dlogdet)."""
 
     def vjp(g):
-        g_x, g_d, grads = _run_vjp(blocks, flip, caches, d.data, *upstream(g))
+        g_x, g_d, grads = _run_vjp(blocks, flip, caches, dd, *upstream(g))
         return (g_x, g_d, *grads)
 
     return _emit([x, d, *_params(blocks)], out, vjp)
@@ -239,10 +253,11 @@ def _emit_run(blocks: Sequence[_Block], flip: bool, x: Tensor, d: Tensor,
 def _forward_ops(blocks: Sequence[_Block], flip: bool, x: Tensor,
                  d: Tensor) -> tuple[Tensor, Tensor]:
     """(z, logdet) of ``blocks`` as two tape ops that share one forward pass."""
-    z, logdet, caches = _run(blocks, flip, x.data, d.data, recording(x, d, *_params(blocks)))
-    z_t = _emit_run(blocks, flip, x, d, z, caches,
+    dd = _with_ones(d.data)
+    z, logdet, caches = _run(blocks, flip, x.data, dd, recording(x, d, *_params(blocks)))
+    z_t = _emit_run(blocks, flip, x, d, dd, z, caches,
                     lambda g: (g, np.zeros_like(logdet)))
-    return z_t, _emit_run(blocks, flip, x, d, logdet, caches,
+    return z_t, _emit_run(blocks, flip, x, d, dd, logdet, caches,
                           lambda g: (np.zeros_like(z), g))
 
 
@@ -293,10 +308,11 @@ class FlowStack:
         z = np.asarray(z, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
         self._check(z.shape[-1], d.shape[-1])
+        dd = _with_ones(d)
         for k in range(len(self.blocks) - 1, -1, -1):
             if k + 1 < len(self.blocks) and self._flip:
                 z = z[:, ::-1].copy()
-            z = self.blocks[k].inverse(z, d)
+            z = self.blocks[k]._inverse(z, dd)
         return z
 
     def _log_q(self, z: np.ndarray) -> np.ndarray:
@@ -305,16 +321,17 @@ class FlowStack:
     def log_prob(self, x: Tensor, d: Tensor) -> Tensor:
         """log p(x | d) = log N(f(x; d); 0, I) + sum of block logdets, as one tape op."""
         self._check(x.shape[-1], d.shape[-1])
-        z, logdet, caches = _run(self.blocks, self._flip, x.data, d.data,
+        dd = _with_ones(d.data)
+        z, logdet, caches = _run(self.blocks, self._flip, x.data, dd,
                                  recording(x, d, *_params(self.blocks)))
-        return _emit_run(self.blocks, self._flip, x, d, self._log_q(z) + logdet, caches,
-                         lambda g: (-g[:, None] * z, g))
+        return _emit_run(self.blocks, self._flip, x, d, dd, self._log_q(z) + logdet,
+                         caches, lambda g: (-g[:, None] * z, g))
 
     def log_prob_np(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
         self._check(x.shape[-1], d.shape[-1])
-        z, logdet, _ = _run(self.blocks, self._flip, x, d, False)
+        z, logdet, _ = _run(self.blocks, self._flip, x, _with_ones(d), False)
         return self._log_q(z) + logdet
 
     def sample(self, count: int, d: np.ndarray, seed: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .tensor import ShapeError
+from .tensor import NumericError, ShapeError
 
 _P = 5                      # Paterson-Stockmeyer block size: powers M^1 .. M^(P-1), then M^P
 _Q = 5                      # number of blocks, so the degree is P*Q - 1
@@ -35,10 +35,12 @@ def _check_square(m: np.ndarray, op: str):
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """e^M by scaling and squaring with a degree-24 Taylor core."""
+    """e^M by scaling and squaring with a degree-24 Taylor core; M must be finite."""
     _check_square(m, "expm")
     n = m.shape[0]
     norm = np.linalg.norm(m, 1)
+    if not np.isfinite(norm):
+        raise NumericError(f"expm: the matrix has a non-finite entry (1-norm {norm})")
     s = 0
     if norm > THETA:
         s = max(0, int(math.ceil(math.log2(norm / THETA))))
@@ -58,14 +60,3 @@ def expm(m: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def expm_series(m: np.ndarray, terms: int = 20) -> np.ndarray:
-    """Truncated Taylor series sum_{k<=terms} M^k / k!; test fallback."""
-    _check_square(m, "expm_series")
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ m / k
-        out = out + term
-    return out

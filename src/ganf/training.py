@@ -194,7 +194,8 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
 
     Stops when |h(A)| < h_tol or after ``max_outer_iters`` outer iterations
     (the latter flagged in the history). Raises :class:`DataError` when
-    there are no training windows.
+    there are no training windows, and :class:`TrainingAbort` when a loss,
+    a layer output or h(A) stops being finite.
     """
     if train_windows.shape[0] == 0:
         raise DataError("no training windows: the series is too short for the "
@@ -217,7 +218,10 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
         # each outer subproblem is a fresh minimization: restart the schedule
         state.lr = config.lr
         state.stale_epochs = 0
-        inner_optimize(state, train_windows, val_windows, config, rng)
+        try:
+            inner_optimize(state, train_windows, val_windows, config, rng)
+        except NumericError as exc:
+            raise TrainingAbort(f"numeric failure at epoch {state.epoch}: {exc}") from exc
         # A has not changed since the last epoch record computed h from it
         h_now = state.history[-1]["h"]
         state.lagrangian = dual_penalty_update(

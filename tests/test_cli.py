@@ -14,6 +14,7 @@ from ganf.cli import main, read_scores_csv
 from ganf.data import DataError, SynthSpec
 from ganf.tensor import NumericError
 from ganf.training import checkpoint_load
+from test_training import poison_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +406,43 @@ def test_bench_bad_grid_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["bench", "--grid", "oops",
                                "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [["--iters", "0"], ["--batch", "0"], ["--hidden", "0"],
+                                  ["--attrs", "0"], ["--batch", "-2"],
+                                  ["--grid", "0,20"], ["--grid", "4,0"],
+                                  ["--grid", "3,8;4,-1"]])
+def test_bench_nonpositive_size_exit_2(runner, tmp_path, args):
+    res = runner.invoke(main, ["bench", *args, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "resolved_config.json").exists()
+
+
+def test_bench_records_blas_threads(runner, tmp_path, blas_at_three):
+    res = runner.invoke(main, ["bench", "--grid", "2,4", "--iters", "1",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "resolved_config.json").read_text())["blas_threads"] == 3
+
+
+def test_train_records_blas_threads(runner, synth_dir, tmp_path, blas_at_three):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir)))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 0, res.output
+    echoed = json.loads((tmp_path / "t" / "resolved_config.json").read_text())
+    assert echoed["blas_threads"] == 3
+
+
+def test_train_non_finite_adjacency_exit_1(runner, synth_dir, tmp_path, monkeypatch):
+    poison_adjacency(monkeypatch, np.inf)
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir)))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error: numeric failure at epoch 0" in res.output
+    assert not (tmp_path / "t" / "checkpoint.ganf").exists()
 
 
 def test_threads_env_validation(runner, synth_dir, trained_dir, tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ import scipy.linalg
 
 from ganf.dag import (LagrangianState, _exp_squared, acyclicity, acyclicity_grad,
                       acyclicity_tensor, augmented_lagrangian,
-                      dual_penalty_update, is_acyclic, threshold_dag)
-from ganf.tensor import GradientTape, ShapeError, Tensor, mul
+                      dual_penalty_update, is_acyclic, threshold_dag, topological_order)
+from ganf.tensor import GradientTape, NumericError, ShapeError, Tensor, mul
 
 
 def test_acyclicity_zero_matrix():
@@ -248,3 +248,24 @@ def test_threshold_requires_positive_eps():
 def test_is_acyclic():
     assert is_acyclic(3, [(0, 1), (1, 2)])
     assert not is_acyclic(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_topological_order_puts_parents_first():
+    edges = [(3, 0), (0, 2), (3, 2), (1, 2), (4, 1)]
+    order = topological_order(5, edges)
+    assert sorted(order) == list(range(5))
+    assert all(order.index(j) < order.index(i) for j, i in edges)
+
+
+def test_topological_order_leaves_out_cycle_and_descendants():
+    # 0 -> 1 -> 2 -> 1 is a cycle; 3 hangs below it, 4 is free
+    order = topological_order(5, [(0, 1), (1, 2), (2, 1), (2, 3)])
+    assert order == [0, 4]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("entry", [acyclicity, acyclicity_grad,
+                                   lambda a: acyclicity_tensor(Tensor(a))])
+def test_non_finite_adjacency_raises_numeric_error(entry, bad):
+    with pytest.raises(NumericError, match="non-finite"):
+        entry(np.array([[0.0, bad], [1.0, 0.0]]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,12 +184,14 @@ def _tape_grads(tensors, loss_of):
     return [np.zeros(t.shape) if t.grad is None else t.grad.copy() for t in tensors]
 
 
-@pytest.mark.parametrize("kind", ["maf", "coupling"])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_fused_flow_matches_tape_reference(kind, dim):
-    stack = _perturbed_stack(dim, kind, 40 + dim)
+@pytest.mark.parametrize("kind,dim,cond,blocks,hidden", [
+    pytest.param(kind, dim, 3, 4, 8, id=f"{dim}-{kind}")
+    for dim in (1, 2, 3) for kind in ("maf", "coupling")
+] + [pytest.param("maf", 1, 5, 6, 12, id="model-shape")])   # D = 1, 6 blocks, hidden != cond
+def test_fused_flow_matches_tape_reference(kind, dim, cond, blocks, hidden):
+    stack = _perturbed_stack(dim, kind, 40 + dim, cond=cond, blocks=blocks, hidden=hidden)
     x = Tensor(_rng(50).normal(size=(7, dim)), requires_grad=True)
-    d = Tensor(_rng(51).normal(size=(7, 3)), requires_grad=True)
+    d = Tensor(_rng(51).normal(size=(7, cond)), requires_grad=True)
     w = Tensor(_rng(52).normal(size=7))
     w_z = Tensor(_rng(53).normal(size=(7, dim)))
     leaves = [x, d, *stack.parameters().values()]
@@ -203,8 +207,54 @@ def test_fused_flow_matches_tape_reference(kind, dim):
     for pick, weight in ((0, w_z), (1, w)):
         close(_tape_grads(leaves, lambda: sum_(mul(stack.forward(x, d)[pick], weight))),
               _tape_grads(leaves, lambda: sum_(mul(flow_forward(stack, x, d)[pick], weight))))
-    block = stack.blocks[-1]
-    close([t.data for t in block.forward(x, d)], [t.data for t in block_forward(block, x, d)])
+    # every block alone, so a coupling stack checks both parities
+    for block in stack.blocks:
+        close([t.data for t in block.forward(x, d)],
+              [t.data for t in block_forward(block, x, d)])
+        close(_tape_grads(leaves, lambda: sum_(mul(block.forward(x, d)[0], w_z))),
+              _tape_grads(leaves, lambda: sum_(mul(block_forward(block, x, d)[0], w_z))))
+
+
+@pytest.mark.parametrize("kind,dim", [("maf", 1), ("maf", 3), ("coupling", 1), ("coupling", 2)])
+def test_log_prob_np_is_the_taped_value_bitwise(kind, dim):
+    stack = _perturbed_stack(dim, kind, 70 + dim)
+    x = _rng(71).normal(size=(50, dim))
+    d = _rng(72).normal(size=(50, 3))
+    with GradientTape():
+        taped = stack.log_prob(Tensor(x), Tensor(d, requires_grad=True)).data
+    assert taped.tobytes() == stack.log_prob_np(x, d).tobytes()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_flow_memory_per_block():
+    """No block copies the condition: a forward pass needs no memory per block,
+    and the tape keeps about one hidden layer per block and row."""
+    rows, cond, hidden = 2000, 16, 16
+    x = _rng(80).normal(size=(rows, 1))
+    d = _rng(81).normal(size=(rows, cond))
+    peaks = {}
+    for blocks in (2, 12):
+        stack = _perturbed_stack(1, "maf", 82, cond=cond, blocks=blocks, hidden=hidden)
+        x_t, d_t = Tensor(x), Tensor(d, requires_grad=True)
+
+        def taped():
+            with GradientTape() as tape:
+                loss = sum_(stack.log_prob(x_t, d_t))
+            tape.backward(loss)
+
+        peaks[blocks] = (_traced_peak(lambda: stack.log_prob_np(x, d)), _traced_peak(taped))
+    per_row = 8 * rows
+    assert peaks[12][0] - peaks[2][0] < 2 * per_row
+    assert (peaks[12][1] - peaks[2][1]) / 10 < (hidden + 8) * per_row
 
 
 def test_coupling_parameter_gradients_match_finite_differences():

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ganf.matexp import DEGREE, THETA, expm, expm_series
-from ganf.tensor import ShapeError
+from ganf.matexp import DEGREE, THETA, expm
+from ganf.tensor import NumericError, ShapeError
+
+
+def expm_series(m: np.ndarray, terms: int = 20) -> np.ndarray:
+    """Truncated Taylor series sum_{k<=terms} M^k / k!, a reference for small norms."""
+    out = np.eye(m.shape[0])
+    term = np.eye(m.shape[0])
+    for k in range(1, terms + 1):
+        term = term @ m / k
+        out = out + term
+    return out
 
 
 def test_expm_zero_is_identity():
@@ -42,6 +52,14 @@ def test_expm_series_agrees_for_small_norm():
     m = rng.uniform(-1, 1, size=(5, 5))
     m *= 1.0 / np.linalg.norm(m, np.inf)
     assert np.max(np.abs(expm(m) - expm_series(m, terms=20))) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_non_finite_entry_raises_numeric_error(bad):
+    m = np.zeros((3, 3))
+    m[0, 2] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        expm(m)
 
 
 

@@ -14,7 +14,8 @@ from ganf.data import (DataError, SynthSpec, make_windows, normalize, split_wind
                        synth_generate)
 from ganf.model import GanfModel
 from ganf.tensor import GradientTape, Tensor
-from ganf.training import (Adam, CheckpointError, TrainConfig, TrainState,
+import ganf.training
+from ganf.training import (Adam, CheckpointError, TrainConfig, TrainingAbort, TrainState,
                            _config_hash, checkpoint_load, checkpoint_save,
                            clip_gradients, inner_optimize, train, write_history)
 from ganf.dag import LagrangianState
@@ -358,6 +359,26 @@ def test_train_computes_one_exponential_per_distinct_adjacency(monkeypatch):
     assert not history[-1]["converged"]
     batches = -(-split.train.shape[0] // config.batch_size)
     assert len(calls) == config.inner_epochs * batches + 1
+
+
+def poison_adjacency(monkeypatch, value):
+    """Set one entry of A to ``value`` just before the first epoch record takes h(A)."""
+    validate = ganf.training._validation_log_density
+
+    def poisoned(model, windows, batch_size):
+        out = validate(model, windows, batch_size)
+        model.adjacency.data[0, 1] = value
+        return out
+
+    monkeypatch.setattr(ganf.training, "_validation_log_density", poisoned)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_adjacency_aborts_training(monkeypatch, value):
+    poison_adjacency(monkeypatch, value)
+    split = _tiny_split()
+    with pytest.raises(TrainingAbort, match="numeric failure at epoch 0"):
+        train(split.train, split.validation, _tiny_config())
 
 
 def test_write_history_jsonl(tmp_path):
