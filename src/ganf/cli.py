@@ -73,7 +73,7 @@ def main():
 @main.command("synth")
 @click.option("--spec", "spec_path", required=True, type=click.Path(), help="SynthSpec JSON file.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--length", default=10000, show_default=True)
+@click.option("--length", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def cmd_synth(spec_path, out_dir, length, seed):
     """Generate a synthetic dataset: series CSV, labels CSV, ground-truth graph."""
@@ -478,3 +478,7 @@ def bench_iteration(n: int, t_len: int, batch: int, attrs: int, hidden: int,
         model.remask_diagonal()
         times.append(time.perf_counter() - start)
     return float(np.median(times[1:]))  # drop warm-up
+
+
+if __name__ == "__main__":
+    main()

@@ -7,12 +7,16 @@ timestamps sorted per entity on a uniform grid. Gaps of at most
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
+import numbers
 from contextlib import closing
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dag import topological_order
 
@@ -173,15 +177,20 @@ def make_windows(series: np.ndarray, window_len: int,
                  stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding windows over an (n, L, D) series.
 
-    Returns (windows (N, n, T, D), start indices (N,)).
+    Returns (windows (N, n, T, D), start indices (N,)), the windows one
+    contiguous copy of a strided view of ``series``. A window length or
+    stride below 1 is a :class:`DataError`.
     """
+    if window_len < 1 or stride < 1:
+        raise DataError(f"window_len {window_len} and stride {stride} must be >= 1")
     series = np.asarray(series, dtype=np.float64)
     n, length, d = series.shape
     if length < window_len:
         raise DataError(f"series length {length} shorter than window {window_len}")
     starts = np.arange(0, length - window_len + 1, stride)
-    windows = np.stack([series[:, s:s + window_len, :] for s in starts])
-    return windows, starts
+    # (n, N, D, T) view -> (N, n, T, D)
+    view = sliding_window_view(series, window_len, axis=1)[:, ::stride]
+    return np.ascontiguousarray(view.transpose(1, 0, 3, 2)), starts
 
 
 @dataclass
@@ -273,23 +282,81 @@ class SynthSpec:
         return cls(**json.loads(text))
 
 
+def _check_synth(spec: SynthSpec, length: int):
+    """:class:`DataError` for a spec or length that ``synth_generate`` cannot
+    sample from."""
+    for name, value in (("n_series", spec.n_series), ("n_attrs", spec.n_attrs),
+                        ("length", length)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, low, high in (("edge_prob", 0.0, 1.0), ("noise_std", 0.0, math.inf),
+                            ("rho", -math.inf, math.inf), ("weight_low", -math.inf, math.inf),
+                            ("weight_high", spec.weight_low, math.inf)):
+        value = getattr(spec, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                and low <= value <= high):
+            raise DataError(f"spec {name} {value!r} is not a finite number in [{low}, {high}]")
+    if not math.isfinite(spec.weight_high - spec.weight_low):
+        raise DataError("spec weight_high - weight_low overflows")
+
+
+# doubles drawn from the generator per block while walking the node pairs
+_DRAW_BLOCK = 1 << 12
+
+
 def _ground_truth_dag(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    """Weighted adjacency, A[i, j] != 0 <=> j -> i; a generated one is acyclic."""
+    """Weighted adjacency, A[i, j] != 0 <=> j -> i; a generated one is acyclic.
+
+    A generated graph is strictly lower-triangular in a hidden random node
+    order. Each pair (i, j), j < i, in row order reads one uniform double
+    and is an edge when it is below ``edge_prob``; an edge reads two more,
+    the weight ``low + (high - low) * u`` and its sign. The doubles come
+    from ``rng.random`` in blocks, and the generator is then left where a
+    ``rng.uniform()`` call per draw would leave it, so the permutation and
+    everything drawn after it are those of the per-draw form.
+    """
     n = spec.n_series
     if spec.adjacency is not None:
-        a = np.asarray(spec.adjacency, dtype=np.float64)
+        try:
+            a = np.asarray(spec.adjacency, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError("spec adjacency is not an n x n matrix of numbers") from None
         if a.shape != (n, n):
             raise DataError(f"spec adjacency shape {a.shape} does not match n={n}")
+        if not np.isfinite(a).all():
+            raise DataError("spec adjacency has a non-finite entry")
         return a
-    # strictly lower-triangular in a hidden random node order
     a = np.zeros((n, n))
-    for i in range(1, n):
-        for j in range(i):
-            if rng.uniform() < spec.edge_prob:
-                w = rng.uniform(spec.weight_low, spec.weight_high)
-                a[i, j] = w if rng.uniform() < 0.5 else -w
+    pairs = n * (n - 1) // 2
+    if pairs:
+        edge_prob, low = float(spec.edge_prob), float(spec.weight_low)
+        span = float(spec.weight_high) - low
+        start = rng.bit_generator.state
+        block = min(3 * pairs, _DRAW_BLOCK)
+        draw = itertools.chain.from_iterable(
+            rng.random(block).tolist() for _ in itertools.count()).__next__
+        rows, cols, weights = [], [], []
+        for i in range(1, n):
+            for j in range(i):
+                if draw() < edge_prob:
+                    w = low + span * draw()
+                    rows.append(i)
+                    cols.append(j)
+                    weights.append(w if draw() < 0.5 else -w)
+        a[rows, cols] = weights
+        # one double per pair and two per edge were used: rewind to the start
+        # and draw exactly that many
+        rng.bit_generator.state = start
+        used = pairs + 2 * len(weights)
+        for size in [block] * (used // block) + [used % block]:
+            rng.random(size)
     perm = rng.permutation(n)
     return a[np.ix_(perm, perm)]
+
+
+# Python floats held per block of the SEM recursion; a block spans
+# _SEM_BLOCK // n steps
+_SEM_BLOCK = 1 << 12
 
 
 def synth_generate(spec: SynthSpec, length: int,
@@ -297,26 +364,56 @@ def synth_generate(spec: SynthSpec, length: int,
     """Generate an (n, L, D) series from the SEM; returns (series, true adjacency).
 
     x_t^i = rho * x_{t-1}^i + sum_j A[i, j] * x_t^j + noise, parents resolved
-    in topological order at each step.
+    in topological order at each step. Each attribute runs on Python floats
+    in time blocks, a node's value summed as noise, then the rho term (from
+    the second step), then each parent's term in increasing j. That is the
+    order of a per-node NumPy loop, and both are IEEE doubles, so the bytes
+    are the same. A spec field or a length out of range, a cyclic or
+    non-finite explicit adjacency: each is a :class:`DataError`, raised
+    before anything is drawn.
     """
+    _check_synth(spec, length)
     rng = np.random.default_rng(seed)
     a = _ground_truth_dag(spec, rng)
-    n, d = spec.n_series, spec.n_attrs
-    order = topological_order(n, [(j, i) for i, j in np.argwhere(a).tolist() if i != j])
+    n, d, rho = spec.n_series, spec.n_attrs, spec.rho
+    # [(parent, weight), ...] of each node by increasing parent; a self-loop
+    # is kept and reads 0.0, the value of a node not yet summed
+    parents = [[] for _ in range(n)]
+    rows, cols = np.nonzero(a)
+    for i, j, w in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        parents[i].append((j, w))
+    order = topological_order(n, [(j, i) for i in range(n) for j, _ in parents[i] if i != j])
     if len(order) < n:
         raise DataError("spec adjacency is cyclic")
-    series = np.zeros((n, length, d))
     noise = rng.normal(0.0, spec.noise_std, size=(n, length, d))
-    for t in range(length):
-        for i in order:
-            val = noise[i, t]
-            if t > 0:
-                val = val + spec.rho * series[i, t - 1]
-            parents = np.nonzero(a[i])[0]
-            for j in parents:
-                val = val + a[i, j] * series[j, t]
-            series[i, t] = val
+    nodes = [(i, parents[i]) for i in order]
+    series = np.empty((n, length, d))
+    block = max(1, _SEM_BLOCK // n)
+    for k in range(d):
+        prev = None
+        for t0 in range(0, length, block):
+            steps = []
+            for eps in noise[:, t0:t0 + block, k].T.tolist():
+                x = [0.0] * n
+                for i, inputs in nodes:
+                    val = eps[i]
+                    if prev is not None:
+                        val = val + rho * prev[i]
+                    for j, w in inputs:
+                        val = val + w * x[j]
+                    x[i] = val
+                steps.append(x)
+                prev = x
+            series[:, t0:t0 + len(steps), k] = np.array(steps).T
     return series, a
+
+
+def _check_anomalies(spec: SynthSpec):
+    """:class:`DataError` for an anomaly rate outside [0, 1) or an unknown type."""
+    if not 0.0 <= spec.anomaly_rate < 1.0:
+        raise DataError(f"anomaly rate {spec.anomaly_rate} outside [0, 1)")
+    if spec.anomaly_type not in ("spike", "level-shift"):
+        raise DataError(f"unknown anomaly type {spec.anomaly_type!r}")
 
 
 def _perturb_window(window: np.ndarray, node: int, spec: SynthSpec,
@@ -326,10 +423,8 @@ def _perturb_window(window: np.ndarray, node: int, spec: SynthSpec,
     if spec.anomaly_type == "spike":
         step = int(rng.integers(window.shape[1]))
         window[node, step, :] += bump
-    elif spec.anomaly_type == "level-shift":
-        window[node, :, :] += bump
     else:
-        raise DataError(f"unknown anomaly type {spec.anomaly_type!r}")
+        window[node, :, :] += bump
 
 
 def inject_anomalies(windows: np.ndarray, spec: SynthSpec,
@@ -338,8 +433,7 @@ def inject_anomalies(windows: np.ndarray, spec: SynthSpec,
 
     Returns (perturbed copy, exact binary labels).
     """
-    if not 0.0 <= spec.anomaly_rate < 1.0:
-        raise DataError(f"anomaly rate {spec.anomaly_rate} outside [0, 1)")
+    _check_anomalies(spec)
     rng = np.random.default_rng(seed)
     out = np.array(windows, copy=True)
     n_windows = out.shape[0]
@@ -360,6 +454,7 @@ def inject_series_anomalies(series: np.ndarray, starts: np.ndarray,
     Only windows starting at or after ``anomaly_start_frac * L`` are eligible.
     Returns (perturbed series copy, per-window labels aligned with starts).
     """
+    _check_anomalies(spec)
     rng = np.random.default_rng(seed)
     out = np.array(series, copy=True)
     labels = np.zeros(len(starts), dtype=np.int64)

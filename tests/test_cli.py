@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +94,47 @@ def test_synth_cyclic_spec_exit_2(runner, tmp_path):
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 2
     assert "cyclic" in res.output
+
+
+@pytest.mark.parametrize("fields, length", [
+    ({}, "-5"),
+    ({"n_series": 0}, "50"),
+    ({"noise_std": -1}, "50"),
+    ({"weight_low": 2, "weight_high": 1}, "50"),
+    ({"anomaly_rate": 1.5}, "50"),
+    ({"anomaly_rate": -0.5}, "50"),
+    ({"stride": 0}, "50"),
+    ({"n_attrs": 0}, "50"),
+    ({"window_len": 0}, "50"),
+    ({"edge_prob": 1.5}, "50"),
+    ({"adjacency": [[0.0, float("nan")], [0.0, 0.0]]}, "50"),
+    ({"anomaly_type": "dip", "anomaly_rate": 0.0}, "50"),
+], ids=["length", "n_series", "noise_std", "weights", "rate_high", "rate_low", "stride",
+        "n_attrs", "window_len", "edge_prob", "adjacency_nan", "anomaly_type"])
+def test_synth_malformed_spec_exit_2(runner, tmp_path, fields, length):
+    _write_spec(tmp_path / "spec.json", **fields)
+    res = runner.invoke(main, ["synth", "--spec", str(tmp_path / "spec.json"),
+                               "--out", str(tmp_path / "out"), "--length", length])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m ganf.cli`` runs the command group."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ganf.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    helped = run("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "Usage:" in helped.stdout and "synth" in helped.stdout
+    bare = run("synth")
+    assert bare.returncode == 2
+    assert "Missing option" in bare.stderr
 
 
 def test_train_outputs(trained_dir):

@@ -1,12 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csv_reference import load_csv_rows
+from synth_reference import ground_truth_dag_calls, synth_generate_per_node
 from ganf.dag import acyclicity, is_acyclic
-from ganf.data import (DataError, SynthSpec, fit_norm_stats, inject_anomalies,
-                       inject_series_anomalies, load_csv, make_windows,
+from ganf.data import (DataError, SynthSpec, _ground_truth_dag, fit_norm_stats,
+                       inject_anomalies, inject_series_anomalies, load_csv, make_windows,
                        normalize, read_labels_csv, read_window_csv, split_windows,
                        synth_generate, write_labels_csv, write_series_csv)
 
@@ -204,6 +208,16 @@ def test_make_windows_counts():
     assert w.shape[0] == 6
 
 
+@pytest.mark.parametrize("shape, window_len, stride", [
+    ((5, 200, 1), 20, 1), ((3, 57, 2), 5, 3), ((2, 10, 1), 10, 7), ((4, 30, 3), 1, 1)])
+def test_make_windows_matches_stacked_slices(shape, window_len, stride):
+    series = np.random.default_rng(8).normal(size=shape)
+    w, starts = make_windows(series, window_len, stride)
+    ref = np.stack([series[:, s:s + window_len, :] for s in starts])
+    assert w.flags.c_contiguous and w.shape == ref.shape
+    assert w.tobytes() == ref.tobytes()
+
+
 def test_make_windows_too_short():
     with pytest.raises(DataError):
         make_windows(np.zeros((1, 3, 1)), 5, 1)
@@ -297,6 +311,112 @@ def test_synth_weight_recovery_by_regression():
         for k, j in enumerate(parents):
             assert abs(coef[k] - a[i, j]) < 0.05, (i, j)
         assert abs(coef[-1] - spec.rho) < 0.05
+
+
+@st.composite
+def _synth_cases(draw):
+    """(spec, length, seed) across sizes, edge probabilities (both ends
+    included), weight ranges and explicit adjacencies, self-loops among them."""
+    n = draw(st.integers(1, 40))
+    low = draw(st.floats(-2.0, 2.0))
+    fields = dict(n_series=n, n_attrs=draw(st.integers(1, 3)),
+                  edge_prob=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+                  weight_low=low, weight_high=low + draw(st.floats(0.0, 2.0)),
+                  rho=draw(st.floats(-0.9, 0.9)), noise_std=draw(st.floats(0.0, 3.0)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = np.tril(rng.normal(size=(n, n)) * (rng.random((n, n)) < fields["edge_prob"]),
+                    k=-draw(st.integers(0, 1)))
+        perm = rng.permutation(n)
+        fields["adjacency"] = a[np.ix_(perm, perm)].tolist()
+    return SynthSpec(**fields), draw(st.integers(1, 50)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_synth_cases())
+@example((SynthSpec(n_series=1), 1, 0))
+@example((SynthSpec(n_series=40, n_attrs=3, edge_prob=1.0), 50, 1))
+def test_synth_matches_per_node_reference(case):
+    spec, length, seed = case
+    series, a = synth_generate(spec, length, seed)
+    ref_series, ref_a = synth_generate_per_node(spec, length, seed)
+    assert series.tobytes() == ref_series.tobytes()
+    assert a.tobytes() == ref_a.tobytes()
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    _ground_truth_dag(spec, rngs[0])
+    ground_truth_dag_calls(spec, rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec, length, seed, expected", [
+    # the acceptance suite's graph (seed 100) at the fit-default benchmark's length
+    (SynthSpec(n_series=5, edge_prob=0.3, rho=0.5), 3600, 100,
+     "0d829b32cd51784486a65fd7abfebaa7dfeb86ca07da29a2f5621fda52638d66"),
+    # the fit-wide benchmark's spec
+    (SynthSpec(n_series=512, edge_prob=2.0 / 512, rho=0.5, weight_low=0.3, weight_high=0.6,
+               window_len=4, stride=4, anomaly_rate=0.25, anomaly_magnitude=100.0), 320, 0,
+     "8d2df3ca509ad42cbd0e9dbd222280be12f2eb472c475db85209ab288b4eb416"),
+], ids=["acceptance-3600", "fit-wide"])
+def test_synth_bytes_pinned(spec, length, seed, expected):
+    """SHA-256 of (series, adjacency) as the per-node NumPy sampler gave them."""
+    assert _sha256(*synth_generate(spec, length, seed)) == expected
+
+
+def test_synth_extra_memory_bounded():
+    length = 200_000
+    spec = SynthSpec(n_series=5, edge_prob=0.5)
+    tracemalloc.start()
+    try:
+        series, _ = synth_generate(spec, length, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the noise and the output arrays, plus one block of Python floats
+    assert peak < 2.5 * series.nbytes, peak / series.nbytes
+
+
+@pytest.mark.parametrize("fields, length, match", [
+    ({"n_series": 0}, 10, "n_series"),
+    ({"n_series": 2.5}, 10, "n_series"),
+    ({"n_attrs": 0}, 10, "n_attrs"),
+    ({}, 0, "length"),
+    ({"edge_prob": 1.5}, 10, "edge_prob"),
+    ({"edge_prob": float("nan")}, 10, "edge_prob"),
+    ({"weight_low": 2.0, "weight_high": 1.0}, 10, "weight_high"),
+    ({"edge_prob": 0.0, "weight_low": 2.0, "weight_high": 1.0}, 10, "weight_high"),
+    ({"weight_high": float("inf")}, 10, "weight_high"),
+    ({"weight_low": -1e308, "weight_high": 1e308}, 10, "overflows"),
+    ({"noise_std": -1.0}, 10, "noise_std"),
+    ({"rho": float("nan")}, 10, "rho"),
+    ({"rho": "0.5"}, 10, "rho"),
+    ({"n_series": 2, "adjacency": [[0.0, float("nan")], [0.0, 0.0]]}, 10, "non-finite"),
+    ({"n_series": 2, "adjacency": [[0.0, 1.0], [0.0]]}, 10, "matrix"),
+])
+def test_synth_bad_spec_raises_data_error(fields, length, match):
+    with pytest.raises(DataError, match=match):
+        synth_generate(SynthSpec(**fields), length, seed=0)
+
+
+@pytest.mark.parametrize("window_len, stride", [(0, 1), (5, 0), (5, -1)])
+def test_make_windows_nonpositive_setting_raises_data_error(window_len, stride):
+    with pytest.raises(DataError, match=">= 1"):
+        make_windows(np.zeros((1, 10, 1)), window_len, stride)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"anomaly_rate": 1.5}, "anomaly rate"), ({"anomaly_rate": -0.5}, "anomaly rate"),
+    ({"anomaly_rate": 0.0, "anomaly_type": "dip"}, "anomaly type")])
+def test_inject_series_anomalies_bad_spec_raises_data_error(fields, match):
+    spec = SynthSpec(n_series=2, **fields)
+    with pytest.raises(DataError, match=match):
+        inject_series_anomalies(np.zeros((2, 100, 1)), np.arange(0, 81, 20), spec, seed=0)
 
 
 def test_inject_rate_zero():
