@@ -4,20 +4,16 @@ graphs, and benchmark scaling.
 Every command echoes its fully resolved configuration into the output
 directory so runs are reproducible from the echo plus the seed. Exit codes:
 0 success, 1 runtime/numeric failure, 2 usage/config error. The env var
-``GANF_THREADS`` caps the worker count used for batch scoring.
+``GANF_THREADS`` sets the threads that score windows, in ``score`` and in
+``train``'s validation passes (see :mod:`ganf.parallel`).
 """
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +23,8 @@ import numpy as np
 from . import data as dat
 from . import metrics as met
 from .dag import threshold_dag
-from .model import GanfModel
+from .model import SCORE_BATCH, GanfModel
+from .parallel import blas_threads, pool_size, worker_count
 from .tensor import GradientTape, NumericError
 from .training import (Adam, CheckpointError, TrainConfig, TrainingAbort,
                        checkpoint_load, checkpoint_save, clip_gradients,
@@ -35,11 +32,10 @@ from .training import (Adam, CheckpointError, TrainConfig, TrainingAbort,
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("GANF_THREADS", "1")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        raise click.UsageError(f"GANF_THREADS must be an integer, got {raw!r}")
+        return worker_count()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _echo_config(out_dir: Path, config: dict):
@@ -121,6 +117,7 @@ _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
     """Train on a CSV dataset; writes checkpoint, history, resolved config."""
+    _worker_count()   # validation scoring reads GANF_THREADS; reject a bad value up front
     cfg = _load_json(config_path, "config")
     for key, val in (("mode", mode), ("window_len", window_len),
                      ("stride", stride), ("seed", seed)):
@@ -147,7 +144,7 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
         raise click.UsageError(f"bad training config: {exc}")
     out = Path(out_dir)
     _echo_config(out, {**cfg, **window_cfg, "command": "train",
-                       "blas_threads": _blas_threads()})
+                       "blas_threads": blas_threads()})
     try:
         series, entities, _ = dat.load_csv(data_csv, gap_limit=window_cfg["gap_limit"])
         windows, starts = dat.make_windows(series, window_cfg["window_len"],
@@ -173,86 +170,19 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
 
 # ------------------------------------------------------------------- score
 
-# symbol names of OpenBLAS's thread-count functions, by build
-_OPENBLAS_NAMES = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
-
-
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS NumPy loaded, or None.
-
-    A symbol lookup on NumPy's core extension also searches the libraries it
-    links, so this finds a wheel's bundled OpenBLAS as well as a system one.
-    """
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    for name in _OPENBLAS_NAMES:
-        get = getattr(lib, name.format("get_num_threads"), None)
-        put = getattr(lib, name.format("set_num_threads"), None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-def _blas_threads() -> Optional[int]:
-    """OpenBLAS's current thread count, or None when it cannot be found."""
-    lib = _openblas()
-    return None if lib is None else lib[0]()
-
-
-_BLAS_PIN = threading.Lock()
-
-
-@contextlib.contextmanager
-def _blas_pinned(count: int):
-    """Hold OpenBLAS at ``count`` threads inside the block, process-wide.
-
-    Yields the count in effect (None when no OpenBLAS is found, in which
-    case nothing changes) and restores the previous count on the way out.
-    Concurrent callers take turns, so none restores a count another set.
-    """
-    lib = _openblas()
-    if lib is None:
-        yield None
-        return
-    get, put = lib
-    with _BLAS_PIN:
-        before = get()
-        put(count)
-        try:
-            yield get()
-        finally:
-            put(before)
+def _scoring_threads(n_windows: int, workers: int) -> int:
+    """Threads ``GanfModel.score_windows`` runs on at its default batch size."""
+    return pool_size(-(-n_windows // SCORE_BATCH), workers)
 
 
 def _score_parallel(model: GanfModel, windows: np.ndarray,
                     workers: int) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Score windows on up to ``workers`` threads.
+    """Score windows on up to ``workers`` threads with ``GanfModel.score_windows``.
 
     Returns (totals, per-series scores, OpenBLAS threads in effect or None).
-    The pool pins OpenBLAS to one thread while it runs, so its workers do
-    not each start BLAS threads on the same cores; the serial path keeps
-    BLAS's own threads, which is faster for a single caller.
     """
-    if workers <= 1 or windows.shape[0] < 2 * workers:
-        return (*model.score_windows(windows), _blas_threads())
-    bounds = np.linspace(0, windows.shape[0], workers + 1, dtype=int)
-    totals = np.empty(windows.shape[0])
-    per_series = None
-    with _blas_pinned(1) as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(lo, hi, pool.submit(model.score_windows, windows[lo:hi]))
-                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        for lo, hi, fut in futures:
-            t, p = fut.result()
-            if per_series is None:
-                per_series = np.empty((windows.shape[0], p.shape[1]))
-            totals[lo:hi] = t
-            per_series[lo:hi] = p
-    return totals, per_series, blas_threads
+    totals, per_series = model.score_windows(windows, workers=workers)
+    return totals, per_series, blas_threads(_scoring_threads(len(windows), workers))
 
 
 @main.command("score")
@@ -277,7 +207,7 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
     out = Path(out_dir)
     workers = _worker_count()
     config = {"command": "score", "checkpoint": str(ckpt_path), "data_csv": str(data_csv),
-              "window_len": window_len, "stride": stride, "workers": workers,
+              "window_len": window_len, "stride": stride, "workers": None,
               "blas_threads": None}
     _echo_config(out, config)
     try:
@@ -292,13 +222,14 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
             series = (series - mean[:, None, :]) / std[:, None, :]
         windows, starts = dat.make_windows(series, window_len, stride)
         start = time.perf_counter()
-        totals, per_series, blas_threads = _score_parallel(model, windows, workers)
+        totals, per_series, blas_in_effect = _score_parallel(model, windows, workers)
         seconds = time.perf_counter() - start
     except dat.DataError as exc:
         raise click.UsageError(str(exc))
     except (NumericError, CheckpointError) as exc:
         _fail(exc)
-    _echo_config(out, {**config, "blas_threads": blas_threads})
+    threads = _scoring_threads(len(windows), workers)
+    _echo_config(out, {**config, "workers": threads, "blas_threads": blas_in_effect})
     with open(out / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_start", "score"]
@@ -307,7 +238,7 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
             writer.writerow([int(s), repr(float(tot))] + [repr(float(v)) for v in row])
     with open(out / "summary.json", "w") as fh:
         json.dump({"n_windows": len(starts), "windows_per_s": len(starts) / seconds,
-                   "workers": workers, "blas_threads": blas_threads}, fh, indent=2)
+                   "workers": threads, "blas_threads": blas_in_effect}, fh, indent=2)
     click.echo(f"wrote {len(starts)} rows to {out / 'scores.csv'}")
 
 
@@ -441,7 +372,7 @@ def cmd_bench(grid, batch, attrs, hidden, iters, seed, out_dir):
     out = Path(out_dir)
     _echo_config(out, {"command": "bench", "grid": grid, "batch": batch,
                        "attrs": attrs, "hidden": hidden, "iters": iters, "seed": seed,
-                       "blas_threads": _blas_threads()})
+                       "blas_threads": blas_threads()})
     rows = []
     for n, t_len in cells:
         rows.append((n, t_len, bench_iteration(n, t_len, batch, attrs, hidden,

@@ -10,16 +10,19 @@ Modes (matching the ablation variants):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .encoder import (EncoderParams, LstmCell, encode_dependencies,
                       encode_hidden, offdiag_mask)
 from .flow import FlowStack
+from .parallel import run_tasks, worker_count
 from .tensor import (NumericError, ShapeError, Tensor, mul, reshape, sum_,
                      transpose)
 
 MODES = ("graph", "no-graph", "full-chain")
+SCORE_BATCH = 64   # windows per scoring batch
 
 
 @dataclass
@@ -151,17 +154,36 @@ class GanfModel:
         """Negative per-series conditional log-densities."""
         return -self.log_density(window).per_series
 
-    def score_windows(self, windows: np.ndarray,
-                      batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
-        """(total scores, per-series scores) over a stack of windows."""
+    def score_windows(self, windows: np.ndarray, batch_size: int = SCORE_BATCH,
+                      workers: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """(total scores, per-series scores) over a stack of (N, n, T, D) windows.
+
+        Windows are scored in batches of ``batch_size``, and each batch
+        writes its own rows, so the scores are byte-identical however the
+        batches are spread over threads. Up to ``workers`` threads score
+        (default :func:`ganf.parallel.worker_count`: ``GANF_THREADS``, or
+        else every CPU in the process's affinity mask), each taking two
+        batches or more; the calling thread is one of them, and with fewer
+        batches the loop runs on it alone. While several threads score,
+        OpenBLAS is held at one thread and restored when the last finishes.
+        A non-finite log-density raises NumericError naming the lowest
+        window that has one, as the serial loop does.
+        """
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 4:
             raise ShapeError(f"expected (N, n, T, D) windows, got shape {windows.shape}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+        if workers is None:
+            workers = worker_count()
+        elif workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         totals = np.empty(windows.shape[0])
         per_series = np.empty((windows.shape[0], self._n_eff))
-        for lo in range(0, windows.shape[0], batch_size):
-            chunk = windows[lo:lo + batch_size]
-            per_step = self.per_step_log_prob(chunk).data
+
+        def score_batch(k: int):
+            lo = k * batch_size
+            per_step = self.per_step_log_prob(windows[lo:lo + batch_size]).data
             if not np.all(np.isfinite(per_step)):
                 bad = np.argwhere(~np.isfinite(per_step))[0]
                 raise NumericError(
@@ -170,4 +192,6 @@ class GanfModel:
             ps = per_step.sum(axis=2)
             per_series[lo:lo + batch_size] = -ps
             totals[lo:lo + batch_size] = -ps.sum(axis=1)
+
+        run_tasks(score_batch, -(-windows.shape[0] // batch_size), workers)
         return totals, per_series

@@ -17,10 +17,12 @@ import numpy as np
 if sys.platform.startswith("linux"):
     # Replaying a tape frees a training step's activations at once. Keep them in the
     # heap, which glibc would unmap or trim, so the next step does not fault them in.
+    # One arena: scoring threads reuse that heap instead of each faulting in its own.
     _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if _mallopt is not None:
         _mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
         _mallopt(-1, 512 << 20)   # M_TRIM_THRESHOLD
+        _mallopt(-8, 1)           # M_ARENA_MAX
 
 
 class ShapeError(ValueError):

@@ -12,9 +12,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganf import cli
+from ganf import cli, parallel
 from ganf.cli import main, read_scores_csv
 from ganf.data import DataError, SynthSpec
+from ganf.parallel import blas_threads
 from ganf.tensor import NumericError
 from ganf.training import checkpoint_load
 from test_training import poison_adjacency
@@ -490,48 +491,45 @@ def test_train_non_finite_adjacency_exit_1(runner, synth_dir, tmp_path, monkeypa
 
 
 def test_threads_env_validation(runner, synth_dir, trained_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("GANF_THREADS", "banana")
-    res = runner.invoke(main, ["score", "--checkpoint",
-                               str(trained_dir / "checkpoint.ganf"),
-                               "--data", str(synth_dir / "series.csv"),
-                               "--out", str(tmp_path)])
-    assert res.exit_code == 2
-    assert "GANF_THREADS" in res.output
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir)))
+    commands = {
+        "score": ["score", "--checkpoint", str(trained_dir / "checkpoint.ganf"),
+                  "--data", str(synth_dir / "series.csv"), "--out", str(tmp_path / "s")],
+        "train": ["train", "--config", str(tmp_path / "config.json"),
+                  "--out", str(tmp_path / "t")],
+    }
+    for raw in ("banana", "0", "-2"):
+        monkeypatch.setenv("GANF_THREADS", raw)
+        for name, args in commands.items():
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2, (raw, name, res.output)
+            assert "GANF_THREADS" in res.output, (raw, name)
+    assert not (tmp_path / "t" / "checkpoint.ganf").exists()
+    assert not (tmp_path / "s" / "scores.csv").exists()
 
 
 def test_parallel_scoring_matches_serial(runner, synth_dir, trained_dir,
                                          tmp_path, monkeypatch):
+    """591 stride-1 windows make ten batches, so 2 and 4 workers both run a pool."""
     outs = []
-    for workers, d in (("1", "serial"), ("4", "parallel")):
+    for workers in ("1", "2", "4"):
         monkeypatch.setenv("GANF_THREADS", workers)
         res = runner.invoke(main, ["score", "--checkpoint",
                                    str(trained_dir / "checkpoint.ganf"),
                                    "--data", str(synth_dir / "series.csv"),
-                                   "--stride", "5",
-                                   "--out", str(tmp_path / d)])
+                                   "--out", str(tmp_path / workers)])
         assert res.exit_code == 0, res.output
-        outs.append((tmp_path / d / "scores.csv").read_bytes())
-    assert outs[0] == outs[1]
+        summary = json.loads((tmp_path / workers / "summary.json").read_text())
+        assert summary["workers"] == int(workers)
+        outs.append((tmp_path / workers / "scores.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
-def _score_inputs(trained_dir, count=40):
+def _score_inputs(trained_dir, count=300):
+    """A model and ``count`` windows; the default 300 make five batches of 64."""
     model = checkpoint_load(trained_dir / "checkpoint.ganf")
     rng = np.random.default_rng(0)
     return model, rng.normal(size=(count, model.n_series, 10, model.input_dim))
-
-
-@pytest.fixture
-def blas_at_three():
-    """OpenBLAS held at 3 threads, a count the pool never sets, restored afterwards."""
-    if cli._openblas() is None:
-        pytest.skip("no OpenBLAS found in this NumPy")
-    get, put = cli._openblas()
-    before = get()
-    put(3)
-    try:
-        yield 3
-    finally:
-        put(before)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -539,16 +537,16 @@ def test_score_parallel_restores_blas_threads(trained_dir, blas_at_three):
     model, windows = _score_inputs(trained_dir)
     _, _, in_pool = cli._score_parallel(model, windows, 2)
     assert in_pool == 1
-    assert cli._blas_threads() == blas_at_three
+    assert blas_threads() == blas_at_three
     windows[7, 0, 3, 0] = np.inf
     with pytest.raises(NumericError):
         cli._score_parallel(model, windows, 2)
-    assert cli._blas_threads() == blas_at_three
+    assert blas_threads() == blas_at_three
 
 
 def test_concurrent_score_parallel_calls_restore_blas_threads(trained_dir, blas_at_three):
-    model, windows = _score_inputs(trained_dir, count=16)
-    want = model.score_windows(windows)[0]
+    model, windows = _score_inputs(trained_dir)
+    want = model.score_windows(windows, workers=1)[0]
     results = []
 
     def score():
@@ -568,39 +566,42 @@ def test_concurrent_score_parallel_calls_restore_blas_threads(trained_dir, blas_
     assert not any(t.is_alive() for t in callers)
     assert len(results) == 20
     assert all(np.array_equal(r, want) for r in results)
-    assert cli._blas_threads() == blas_at_three
+    assert blas_threads() == blas_at_three
 
 
 def test_score_parallel_without_openblas(trained_dir, monkeypatch):
     model, windows = _score_inputs(trained_dir)
-    want_totals, want_per_series = model.score_windows(windows)
-    monkeypatch.setattr(cli, "_openblas", lambda: None)
-    totals, per_series, blas_threads = cli._score_parallel(model, windows, 2)
-    assert blas_threads is None
+    want_totals, want_per_series = model.score_windows(windows, workers=1)
+    monkeypatch.setattr(parallel, "_openblas", lambda: None)
+    totals, per_series, in_effect = cli._score_parallel(model, windows, 2)
+    assert in_effect is None
     np.testing.assert_array_equal(totals, want_totals)
     np.testing.assert_array_equal(per_series, want_per_series)
 
 
 def test_score_records_threads_and_throughput(runner, synth_dir, trained_dir, tmp_path,
                                               monkeypatch, blas_at_three):
-    """summary.json and the echoed config at 1 and 2 workers; the scores are byte-identical."""
-    scores = []
-    for workers, want_blas in ((1, blas_at_three), (2, 1)):
-        monkeypatch.setenv("GANF_THREADS", str(workers))
-        out = tmp_path / str(workers)
+    """summary.json and the echoed config record the threads that ran and BLAS's count.
+
+    Stride 100 leaves 6 windows, one batch, so the serial loop runs with
+    BLAS's own count; stride 1 leaves 591 windows, ten batches, for a pool.
+    """
+    monkeypatch.setenv("GANF_THREADS", "2")
+    for stride, n_windows, want_workers, want_blas in ((100, 6, 1, blas_at_three),
+                                                       (1, 591, 2, 1)):
+        out = tmp_path / str(stride)
         res = runner.invoke(main, ["score", "--checkpoint",
                                    str(trained_dir / "checkpoint.ganf"),
                                    "--data", str(synth_dir / "series.csv"),
-                                   "--stride", "5", "--out", str(out)])
+                                   "--stride", str(stride), "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert cli._blas_threads() == blas_at_three
+        assert blas_threads() == blas_at_three
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"n_windows", "windows_per_s", "workers", "blas_threads"}
-        assert summary["n_windows"] == 119
+        assert summary["n_windows"] == n_windows
         assert summary["windows_per_s"] > 0
-        assert summary["workers"] == workers
+        assert summary["workers"] == want_workers
         assert summary["blas_threads"] == want_blas
         echoed = json.loads((out / "resolved_config.json").read_text())
+        assert echoed["workers"] == want_workers
         assert echoed["blas_threads"] == want_blas
-        scores.append((out / "scores.csv").read_bytes())
-    assert scores[0] == scores[1]

@@ -1,10 +1,14 @@
+import functools
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ganf.parallel
 from ganf.model import DensityReport, GanfModel
-from ganf.tensor import GradientTape, ShapeError, sum_
+from ganf.tensor import GradientTape, NumericError, ShapeError, sum_
 
 
 def _model(**kw):
@@ -222,3 +226,89 @@ def test_scoring_thread_adds_nothing_to_another_threads_tape():
     assert scored["scores"].shape == (8,)
     tape.backward(loss)
     np.testing.assert_array_equal(scored["scores"], model.score_windows(windows)[0])
+
+
+def test_score_windows_rejects_batch_size_below_one():
+    model = _model()
+    windows = np.zeros((5, 3, 4, 2))
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            model.score_windows(windows, batch_size=size)
+
+
+@functools.cache
+def _scorer():
+    return _perturb(_model(flow_blocks=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(0, 300), batch_size=st.integers(1, 70), workers=st.integers(1, 4))
+def test_pooled_scores_are_byte_equal_to_serial(count, batch_size, workers):
+    model = _scorer()
+    windows = np.random.default_rng(count).normal(size=(count, 3, 4, 2))
+    serial = model.score_windows(windows, batch_size, workers=1)
+    pooled = model.score_windows(windows, batch_size, workers=workers)
+    assert pooled[0].tobytes() == serial[0].tobytes()
+    assert pooled[1].tobytes() == serial[1].tobytes()
+
+
+def test_score_windows_leaves_no_thread_behind():
+    windows = np.random.default_rng(21).normal(size=(40, 3, 4, 2))
+    before = threading.active_count()
+    _scorer().score_windows(windows, batch_size=4, workers=3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, 1e200])
+@pytest.mark.parametrize("bad, scorer, named", [
+    ([2], "caller", 2), ([6], "pool", 6), ([2, 6], "caller", 2), ([6, 13], "pool", 6)])
+def test_pooled_numeric_error_is_the_serial_one(monkeypatch, blas_at_three,
+                                                value, bad, scorer, named):
+    """The caller scores batch 0 and the pool thread batch 1; either may hold the bad window."""
+    model = _scorer()
+    windows = np.random.default_rng(22).normal(size=(16, 3, 4, 2))
+    windows[bad, 1, 2, 0] = value
+    with pytest.raises(NumericError) as serial:
+        model.score_windows(windows, batch_size=4, workers=1)
+    if value == 1e200:
+        assert f"in window {named}," in str(serial.value)
+
+    caller = threading.get_ident()
+    caller_in, pool_in = threading.Event(), threading.Event()
+    failed_on, blas_seen = set(), set()
+    get_blas = ganf.parallel._openblas()[0]
+    score = model.per_step_log_prob
+
+    class LateThread(threading.Thread):
+        def run(self):
+            caller_in.wait(10)   # the caller takes batch 0 first
+            super().run()
+
+    def placed(x):
+        blas_seen.add(get_blas())
+        here = "caller" if threading.get_ident() == caller else "pool"
+        if here == "caller" and not caller_in.is_set():
+            caller_in.set()
+            pool_in.wait(10)     # ... and holds it until the pool has taken batch 1
+        elif here == "pool":
+            pool_in.set()
+        try:
+            out = score(x)
+        except NumericError:
+            failed_on.add(here)
+            raise
+        if not np.all(np.isfinite(out.data)):
+            failed_on.add(here)
+        return out
+
+    monkeypatch.setattr(ganf.parallel, "Thread", LateThread)
+    monkeypatch.setattr(model, "per_step_log_prob", placed)
+    with pytest.raises(NumericError) as pooled:
+        model.score_windows(windows, batch_size=4, workers=2)
+    assert str(pooled.value) == str(serial.value)
+    assert scorer in failed_on
+    assert blas_seen == {1}
+    assert get_blas() == blas_at_three
+    assert not any(t.name == "ganf-score" for t in threading.enumerate())
