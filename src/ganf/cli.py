@@ -23,7 +23,7 @@ import numpy as np
 from . import data as dat
 from . import metrics as met
 from .dag import threshold_dag
-from .model import SCORE_BATCH, GanfModel
+from .model import MODES, SCORE_BATCH, GanfModel
 from .parallel import blas_threads, pool_size, worker_count
 from .tensor import GradientTape, NumericError
 from .training import (Adam, CheckpointError, TrainConfig, TrainingAbort,
@@ -110,7 +110,7 @@ _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
 
 @main.command("train")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--mode", type=click.Choice(["graph", "no-graph", "full-chain"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--window-len", type=click.IntRange(min=1), default=None)
 @click.option("--stride", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=None)

@@ -16,21 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, Tensor, _emit, recording
+from .tensor import ShapeError, Tensor, _emit, recording
 
 
 class ContractError(ValueError):
     """A caller-side contract was violated (e.g. nonzero adjacency diagonal)."""
-
-
-def masked_diag(a: np.ndarray) -> np.ndarray:
-    """Copy of a square matrix with the diagonal zeroed."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"masked_diag expects a square matrix, got {a.shape}")
-    out = a.copy()
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def offdiag_mask(n: int) -> np.ndarray:
@@ -133,9 +123,6 @@ def encode_hidden(cell: LstmCell, x: np.ndarray) -> Tensor:
         c += y[0] * y[3]
         np.tanh(c, out=tcs[k])
         h = np.multiply(y[2], tcs[k], out=hs[t])
-    if not np.all(np.isfinite(hs)):
-        t, row = np.argwhere(~np.isfinite(hs))[0][:2]
-        raise NumericError(f"non-finite hidden state at node row {row}, t={t}")
 
     def vjp(g):
         dy = np.empty((4, t_len, rows, hd))

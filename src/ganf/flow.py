@@ -17,9 +17,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, Tensor, _emit, recording
+from .tensor import ShapeError, Tensor, _emit, recording
 
 ALPHA_CLAMP = 5.0
+FLOW_KINDS = ("maf", "coupling")
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -209,8 +210,6 @@ def _run(blocks: Sequence[_Block], flip: bool, x: np.ndarray, dd: np.ndarray,
         mu, alpha, cache = block._conditioner(x, dd)
         e = np.exp(alpha)
         z = (x - mu) * e
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite flow output at block {k}")
         logdet = logdet + alpha.sum(axis=-1)
         if keep:
             caches.append((cache, alpha, e, z))
@@ -270,8 +269,8 @@ class FlowStack:
     def __init__(self, input_dim: int, cond_dim: int, n_blocks: int = 6,
                  hidden: int = 32, kind: str = "maf",
                  rng: Optional[np.random.Generator] = None):
-        if kind not in ("maf", "coupling"):
-            raise ValueError(f"unknown flow kind {kind!r}")
+        if kind not in FLOW_KINDS:
+            raise ValueError(f"unknown flow kind {kind!r}; expected one of {FLOW_KINDS}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dim = input_dim
         self.cond_dim = cond_dim
@@ -319,20 +318,15 @@ class FlowStack:
         return -0.5 * self.input_dim * LOG_2PI - 0.5 * (z * z).sum(axis=-1)
 
     def log_prob(self, x: Tensor, d: Tensor) -> Tensor:
-        """log p(x | d) = log N(f(x; d); 0, I) + sum of block logdets, as one tape op."""
+        """log p(x | d) = log N(f(x; d); 0, I) + sum of block logdets, as one tape op.
+
+        Outside a tape the same pass runs and keeps no caches."""
         self._check(x.shape[-1], d.shape[-1])
         dd = _with_ones(d.data)
         z, logdet, caches = _run(self.blocks, self._flip, x.data, dd,
                                  recording(x, d, *_params(self.blocks)))
         return _emit_run(self.blocks, self._flip, x, d, dd, self._log_q(z) + logdet,
                          caches, lambda g: (-g[:, None] * z, g))
-
-    def log_prob_np(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        d = np.asarray(d, dtype=np.float64)
-        self._check(x.shape[-1], d.shape[-1])
-        z, logdet, _ = _run(self.blocks, self._flip, x, _with_ones(d), False)
-        return self._log_q(z) + logdet
 
     def sample(self, count: int, d: np.ndarray, seed: int) -> np.ndarray:
         """Draw count rows by inverting base-distribution samples; deterministic per seed."""

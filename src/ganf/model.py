@@ -25,6 +25,23 @@ MODES = ("graph", "no-graph", "full-chain")
 SCORE_BATCH = 64   # windows per scoring batch
 
 
+def _finite(per_step: np.ndarray, first: int) -> np.ndarray:
+    """``per_step``, a (B, n, T) block of log-densities whose window 0 is window ``first``.
+
+    This is the one finiteness check of a forward pass: an infinite or
+    overflowing input makes its own log-density non-finite, and a NaN carries
+    through every layer. The first non-finite entry in (window, series, step)
+    order raises NumericError naming all three. The window is exact. The
+    series need not be the one whose input was bad: a NaN spreads through the
+    aggregation A H_t to other series of its window, and the lowest is named.
+    """
+    if not np.all(np.isfinite(per_step)):
+        bad = np.argwhere(~np.isfinite(per_step))[0]
+        raise NumericError(f"non-finite log-density in window {first + bad[0]}, "
+                           f"series {bad[1]}, step {bad[2]}")
+    return per_step
+
+
 @dataclass
 class DensityReport:
     """Additive decomposition of one window's log-density."""
@@ -138,10 +155,7 @@ class GanfModel:
         window = np.asarray(window, dtype=np.float64)
         if window.ndim != 3:
             raise ShapeError(f"expected one (n, T, D) window, got shape {window.shape}")
-        per_step = self.per_step_log_prob(window[None]).data[0]
-        if not np.all(np.isfinite(per_step)):
-            bad = np.argwhere(~np.isfinite(per_step))[0]
-            raise NumericError(f"non-finite log-density at series {bad[0]}, step {bad[1]}")
+        per_step = _finite(self.per_step_log_prob(window[None]).data, 0)[0]
         per_series = per_step.sum(axis=1)
         return DensityReport(total=float(per_series.sum()),
                              per_series=per_series, per_step=per_step)
@@ -183,12 +197,7 @@ class GanfModel:
 
         def score_batch(k: int):
             lo = k * batch_size
-            per_step = self.per_step_log_prob(windows[lo:lo + batch_size]).data
-            if not np.all(np.isfinite(per_step)):
-                bad = np.argwhere(~np.isfinite(per_step))[0]
-                raise NumericError(
-                    f"non-finite log-density in window {lo + bad[0]}, "
-                    f"series {bad[1]}, step {bad[2]}")
+            per_step = _finite(self.per_step_log_prob(windows[lo:lo + batch_size]).data, lo)
             ps = per_step.sum(axis=2)
             per_series[lo:lo + batch_size] = -ps
             totals[lo:lo + batch_size] = -ps.sum(axis=1)

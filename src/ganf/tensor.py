@@ -1,9 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Everything downstream (flows, the recurrent encoder, the DAG constraint)
-is expressed in terms of the primitives defined here. Recording happens
-only while a :class:`GradientTape` is active, so inference paths pay no
-bookkeeping cost.
+The LSTM unroll, the graph aggregation, the flow stack and h(A) run in
+NumPy and record themselves as one op each through :func:`_emit`, with
+hand-written backward passes. The few primitives here join those ops into
+a loss. Recording happens only while a :class:`GradientTape` is active, so
+inference paths pay no bookkeeping cost.
 """
 from __future__ import annotations
 
@@ -27,10 +28,6 @@ if sys.platform.startswith("linux"):
 
 class ShapeError(ValueError):
     """Operand shapes do not conform for the requested primitive."""
-
-
-class DomainError(ValueError):
-    """Input outside the mathematical domain of the primitive (e.g. log of x <= 0)."""
 
 
 class NumericError(ArithmeticError):
@@ -91,26 +88,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -142,8 +121,7 @@ class GradientTape:
     """Ordered record of primitive ops, replayed in reverse by :meth:`backward`.
 
     Use as a context manager around the forward pass. A tape may be
-    replayed once; call :meth:`reset` to reuse it. Nested tapes are not
-    supported.
+    replayed once. Nested tapes are not supported.
     """
 
     def __init__(self):
@@ -166,11 +144,6 @@ class GradientTape:
     def __len__(self):
         return len(self._records)
 
-    def reset(self):
-        self._records.clear()
-        self._produced.clear()
-        self._consumed = False
-
     def _append(self, record: _OpRecord):
         self._records.append(record)
         self._produced.add(id(record.output))
@@ -178,7 +151,7 @@ class GradientTape:
     def backward(self, loss: Tensor):
         """Populate ``grad`` on every requires_grad leaf reachable from ``loss``."""
         if self._consumed:
-            raise TapeStateError("tape already replayed; reset() before reuse")
+            raise TapeStateError("tape already replayed")
         if not self._records:
             raise TapeStateError("tape is empty")
         if loss.size != 1:
@@ -244,61 +217,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    return _emit([a, b], a.data - b.data,
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
     ad, bd = a.data, b.data
     return _emit([a, b], ad * bd,
                  lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
-        return ga, gb
-
-    return _emit([a, b], np.matmul(ad, bd), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _emit([a], out, lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    ad = a.data
-    return _emit([a], np.log(ad), lambda g: (g / ad,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _emit([a], out, lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: e^-|x| cannot overflow
-    e = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _emit([a], out, lambda g: (g * out * (1.0 - out),))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _emit([a], np.where(mask, a.data, 0.0), lambda g: (g * mask,))
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -316,26 +239,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit([a], out, vjp)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else np.prod(
-        [a.shape[ax % a.ndim] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / float(count)))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(np.moveaxis(moved[offsets[i]:offsets[i + 1]], 0, axis)
-                     for i in range(len(tensors)))
-
-    return _emit(tensors, out, vjp)
-
-
 def transpose(a: Tensor, axes=None) -> Tensor:
     out = np.transpose(a.data, axes)
     inv = None if axes is None else np.argsort(axes)
@@ -351,9 +254,21 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _emit([a], out, lambda g: (g.reshape(a.shape),))
 
 
-def flip(a: Tensor, axis: int = -1) -> Tensor:
-    out = np.flip(a.data, axis=axis)
-    return _emit([a], out.copy(), lambda g: (np.flip(g, axis=axis).copy(),))
+# Nothing in the model calls concat, slice_ (Tensor's [], len and iter) or
+# encode_dependencies' list-of-steps input. perfbench/layers.py and
+# perfbench/checks.py do, so these stay until the benchmark drops them.
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    tensors = [_coerce(t) for t in tensors]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def vjp(g):
+        moved = np.moveaxis(g, axis, 0)
+        return tuple(np.moveaxis(moved[offsets[i]:offsets[i + 1]], 0, axis)
+                     for i in range(len(tensors)))
+
+    return _emit(tensors, out, vjp)
 
 
 def slice_(a: Tensor, key) -> Tensor:

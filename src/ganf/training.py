@@ -16,7 +16,8 @@ import numpy as np
 from .dag import (LagrangianState, acyclicity, augmented_lagrangian,
                   dual_penalty_update)
 from .data import DataError
-from .model import GanfModel
+from .flow import FLOW_KINDS
+from .model import MODES, GanfModel
 from .tensor import GradientTape, NumericError, Tensor
 
 
@@ -33,7 +34,7 @@ class TrainConfig:
     lr: float = 1e-3
     lr_decay: float = 0.1
     grad_clip: float = 1.0
-    clip_mode: str = "global"           # or "elementwise"
+    clip_mode: str = "global"           # one of CLIP_MODES
     flow_blocks: int = 6
     hidden_dim: int = 32
     flow_hidden: int = 32
@@ -53,10 +54,20 @@ class TrainConfig:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.eta <= 1.0:
             raise ValueError(f"eta must exceed 1, got {self.eta}")
-        for name in ("lr", "lr_decay", "grad_clip", "batch_size", "inner_epochs",
-                     "max_outer_iters", "h_tol"):
+        for name in ("lr", "lr_decay", "grad_clip", "h_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name, low in (("hidden_dim", 1), ("flow_hidden", 1), ("flow_blocks", 0),
+                          ("batch_size", 1), ("inner_epochs", 1), ("max_outer_iters", 1),
+                          ("plateau_patience", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        for name, choices in (("mode", MODES), ("flow_type", FLOW_KINDS),
+                              ("clip_mode", CLIP_MODES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"expected one of {choices}")
 
 
 class Adam:
@@ -82,6 +93,9 @@ class Adam:
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
             p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+CLIP_MODES = ("global", "elementwise")
 
 
 def clip_gradients(params: dict[str, Tensor], clip: float, mode: str = "global") -> float:
@@ -195,7 +209,7 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
     Stops when |h(A)| < h_tol or after ``max_outer_iters`` outer iterations
     (the latter flagged in the history). Raises :class:`DataError` when
     there are no training windows, and :class:`TrainingAbort` when a loss,
-    a layer output or h(A) stops being finite.
+    a log-density or h(A) stops being finite.
     """
     if train_windows.shape[0] == 0:
         raise DataError("no training windows: the series is too short for the "

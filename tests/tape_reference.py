@@ -3,8 +3,8 @@
 ``ganf.encoder`` and ``ganf.flow`` record the LSTM unroll, the graph
 aggregation and the flow stack as one tape op each, with hand-written
 backward passes. The functions here build the same layers step by step
-from the primitives in ``ganf.tensor``, whose gradients come from the tape,
-so tests can compare values and gradients of the two.
+from the tape primitives below, which only these references use, so
+tests can compare values and gradients of the two.
 """
 from __future__ import annotations
 
@@ -13,8 +13,57 @@ from typing import Optional
 import numpy as np
 
 from ganf.flow import ALPHA_CLAMP, LOG_2PI, CouplingBlock, FlowStack, MafBlock
-from ganf.tensor import (Tensor, add, concat, exp, flip, matmul, mul, relu,
-                         reshape, sigmoid, sub, sum_, tanh)
+from ganf.tensor import (GradientTape, ShapeError, Tensor, _emit, _unbroadcast,
+                         add, concat, mul, reshape, slice_, sum_)
+
+
+def tape_grads(tensors, loss_of) -> list[np.ndarray]:
+    """Gradients of ``loss_of()`` with respect to ``tensors``, zero where none flows."""
+    for t in tensors:
+        t.zero_grad()
+    with GradientTape() as tape:
+        loss = loss_of()
+    tape.backward(loss)
+    return [np.zeros(t.shape) if t.grad is None else t.grad.copy() for t in tensors]
+
+
+# --------------------------------------------------------------- primitives
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
+        return ga, gb
+
+    return _emit([a, b], np.matmul(ad, bd), vjp)
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return _emit([a], out, lambda g: (g * out,))
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data)
+    return _emit([a], out, lambda g: (g * (1.0 - out * out),))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: e^-|x| cannot overflow
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _emit([a], out, lambda g: (g * out * (1.0 - out),))
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = a.data > 0
+    return _emit([a], np.where(mask, a.data, 0.0), lambda g: (g * mask,))
 
 
 # ------------------------------------------------------------------ encoder
@@ -87,7 +136,8 @@ def mu_alpha(block, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
 
 def block_forward(block, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
     mu, alpha = mu_alpha(block, x, d)
-    return mul(sub(x, mu), exp(alpha)), sum_(alpha, axis=-1)
+    # x - mu as x + (-1)·mu: negation is exact, so the bits are those of x - mu
+    return mul(add(x, mul(mu, Tensor(-1.0))), exp(alpha)), sum_(alpha, axis=-1)
 
 
 def flow_forward(stack: FlowStack, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
@@ -96,12 +146,12 @@ def flow_forward(stack: FlowStack, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor
         x, ld = block_forward(block, x, d)
         logdet = ld if logdet is None else add(logdet, ld)
         if k + 1 < len(stack.blocks) and stack.input_dim > 1:
-            x = flip(x, axis=-1)
+            x = slice_(x, (slice(None), slice(None, None, -1)))
     return x, logdet
 
 
 def flow_log_prob(stack: FlowStack, x: Tensor, d: Tensor) -> Tensor:
     z, logdet = flow_forward(stack, x, d)
-    log_q = sub(Tensor(-0.5 * stack.input_dim * LOG_2PI),
-                mul(Tensor(0.5), sum_(mul(z, z), axis=-1)))
+    log_q = add(Tensor(-0.5 * stack.input_dim * LOG_2PI),
+                mul(Tensor(-0.5), sum_(mul(z, z), axis=-1)))
     return add(log_q, logdet)

@@ -259,6 +259,20 @@ def test_train_nonpositive_window_config_exit_2(runner, synth_dir, tmp_path, key
     assert not (tmp_path / "t" / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("hidden_dim", 0), ("hidden_dim", -2), ("hidden_dim", 2.5), ("hidden_dim", True),
+    ("flow_hidden", 0), ("flow_blocks", -1), ("batch_size", 2.5), ("inner_epochs", 1.5),
+    ("seed", -1), ("seed", 1.5), ("mode", "bogus"), ("flow_type", "bogus"),
+    ("clip_mode", "bogus")])
+def test_train_out_of_range_model_config_exit_2(runner, synth_dir, tmp_path, key, value):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, **{key: value})))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert key in res.output
+    assert not (tmp_path / "t" / "resolved_config.json").exists()
+
+
 def test_train_no_training_windows_exit_2(runner, synth_dir, tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, train_frac=0.0)))
     with warnings.catch_warnings(record=True) as caught:

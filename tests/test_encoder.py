@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from ganf.encoder import (ContractError, EncoderParams, LstmCell,
-                          encode_dependencies, encode_hidden, masked_diag,
-                          offdiag_mask)
+                          encode_dependencies, encode_hidden, offdiag_mask)
 from ganf.tensor import GradientTape, ShapeError, Tensor, concat, mul, sum_
-from tape_reference import aggregate, lstm_step, lstm_unroll
+from tape_reference import aggregate, lstm_step, lstm_unroll, tape_grads
 
 
 def _rng(seed=0):
@@ -17,21 +16,6 @@ def _deps(cell, enc, x, a):
     hidden = encode_hidden(cell, x)
     deps = encode_dependencies(enc, hidden, Tensor(a), b, n)
     return np.stack([d.data.reshape(b, n, -1) for d in deps], axis=2)  # (B,n,T,d)
-
-
-def test_masked_diag_identity_and_zero():
-    np.testing.assert_array_equal(masked_diag(np.eye(3)), np.zeros((3, 3)))
-    np.testing.assert_array_equal(masked_diag(np.zeros((3, 3))), np.zeros((3, 3)))
-
-
-def test_masked_diag_definition():
-    out = masked_diag(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_array_equal(out, [[0.0, 2.0], [3.0, 0.0]])
-
-
-def test_masked_diag_non_square():
-    with pytest.raises(ShapeError):
-        masked_diag(np.zeros((2, 3)))
 
 
 def test_offdiag_mask():
@@ -186,15 +170,6 @@ def _perturbed_encoder(d_in, hidden, seed):
     return cell, enc
 
 
-def _grads(tensors, loss_of):
-    for t in tensors:
-        t.zero_grad()
-    with GradientTape() as tape:
-        loss = loss_of()
-    tape.backward(loss)
-    return [t.grad.copy() for t in tensors]
-
-
 def _assert_close(got, want):
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * np.abs(w).max())
@@ -211,9 +186,9 @@ def test_fused_lstm_matches_tape_reference(d_in):
     _assert_close([h.data for h in fused], [h.data for h in ref])
     params = list(cell.parameters().values())
     _assert_close(
-        _grads(params, lambda: sum_(mul(encode_hidden(cell, x), weights))),
-        _grads(params, lambda: sum_(mul(concat(lstm_unroll(cell, x), axis=0),
-                                        Tensor(weights.data.reshape(36, 5))))))
+        tape_grads(params, lambda: sum_(mul(encode_hidden(cell, x), weights))),
+        tape_grads(params, lambda: sum_(mul(concat(lstm_unroll(cell, x), axis=0),
+                                            Tensor(weights.data.reshape(36, 5))))))
 
 
 @pytest.mark.parametrize("d_in", [1, 2])
@@ -221,22 +196,22 @@ def test_fused_aggregation_matches_tape_reference(d_in):
     cell, enc = _perturbed_encoder(d_in, 4, 40 + d_in)
     b, n, t_len = 2, 3, 5
     x = _rng(50).normal(size=(b, n, t_len, d_in))
-    a = Tensor(masked_diag(_rng(51).normal(size=(n, n))), requires_grad=True)
+    a = Tensor(_rng(51).normal(size=(n, n)) * offdiag_mask(n), requires_grad=True)
     hidden = [Tensor(h.data, requires_grad=True) for h in encode_hidden(cell, x)]
     weights = _rng(52).normal(size=(t_len, b * n, 4))
     ref = aggregate(enc, hidden, a, b, n)
     _assert_close([d.data for d in encode_dependencies(enc, hidden, a, b, n)],
                   [d.data for d in ref])
     leaves = [a, *enc.parameters().values(), *hidden]
-    want = _grads(leaves, lambda: sum_(mul(concat(aggregate(enc, hidden, a, b, n), axis=0),
-                                           Tensor(weights.reshape(-1, 4)))))
+    want = tape_grads(leaves, lambda: sum_(mul(concat(aggregate(enc, hidden, a, b, n), axis=0),
+                                               Tensor(weights.reshape(-1, 4)))))
     # per-step leaves and one stacked (T, B*n, hidden) leaf give the same gradients
-    _assert_close(_grads(leaves, lambda: sum_(mul(encode_dependencies(enc, hidden, a, b, n),
-                                                  Tensor(weights)))), want)
+    _assert_close(tape_grads(leaves, lambda: sum_(mul(encode_dependencies(enc, hidden, a, b, n),
+                                                      Tensor(weights)))), want)
     stacked = Tensor(np.stack([h.data for h in hidden]), requires_grad=True)
-    got = _grads([a, *enc.parameters().values(), stacked],
-                 lambda: sum_(mul(encode_dependencies(enc, stacked, a, b, n),
-                                  Tensor(weights))))
+    got = tape_grads([a, *enc.parameters().values(), stacked],
+                     lambda: sum_(mul(encode_dependencies(enc, stacked, a, b, n),
+                                      Tensor(weights))))
     _assert_close(got[:-1] + list(got[-1]), want)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from ganf.flow import ALPHA_CLAMP, CouplingBlock, FlowStack, MafBlock, _made_masks
 from ganf.tensor import GradientTape, ShapeError, Tensor, mul, sum_
-from tape_reference import block_forward, flow_forward, flow_log_prob
+from tape_reference import block_forward, flow_forward, flow_log_prob, tape_grads
 
 
 def _rng(seed=0):
@@ -121,10 +121,10 @@ def test_stack_logdet_matches_dense_jacobian(kind, dim):
 
 def test_log_prob_identity_stack_base_density():
     stack1 = FlowStack(1, 2, n_blocks=6, hidden=8, kind="maf", rng=_rng(20))
-    lp = stack1.log_prob_np(np.zeros((1, 1)), np.zeros((1, 2)))
+    lp = stack1.log_prob(Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 2)))).data
     assert abs(lp[0] - (-0.5 * np.log(2 * np.pi))) < 1e-12
     stack2 = FlowStack(2, 2, n_blocks=6, hidden=8, kind="maf", rng=_rng(21))
-    lp2 = stack2.log_prob_np(np.zeros((1, 2)), np.zeros((1, 2)))
+    lp2 = stack2.log_prob(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))).data
     assert abs(lp2[0] - (-np.log(2 * np.pi))) < 1e-12
 
 
@@ -156,7 +156,7 @@ def test_log_prob_of_samples_finite():
         p.data += _rng(26).normal(size=p.shape) * 0.1
     d = np.zeros((10_000, 2))
     s = stack.sample(10_000, np.zeros(2), seed=1)
-    lp = stack.log_prob_np(s, d)
+    lp = stack.log_prob(Tensor(s), Tensor(d)).data
     assert np.all(np.isfinite(lp))
 
 
@@ -173,15 +173,6 @@ def _perturbed_stack(dim, kind, seed, cond=3, blocks=4, hidden=8, scale=0.3):
     for p in stack.parameters().values():
         p.data += rng.normal(size=p.shape) * scale
     return stack
-
-
-def _tape_grads(tensors, loss_of):
-    for t in tensors:
-        t.zero_grad()
-    with GradientTape() as tape:
-        loss = loss_of()
-    tape.backward(loss)
-    return [np.zeros(t.shape) if t.grad is None else t.grad.copy() for t in tensors]
 
 
 @pytest.mark.parametrize("kind,dim,cond,blocks,hidden", [
@@ -201,18 +192,18 @@ def test_fused_flow_matches_tape_reference(kind, dim, cond, blocks, hidden):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14 * max(np.abs(r).max(), 1))
 
     close([stack.log_prob(x, d).data], [flow_log_prob(stack, x, d).data])
-    close(_tape_grads(leaves, lambda: sum_(mul(stack.log_prob(x, d), w))),
-          _tape_grads(leaves, lambda: sum_(mul(flow_log_prob(stack, x, d), w))))
+    close(tape_grads(leaves, lambda: sum_(mul(stack.log_prob(x, d), w))),
+          tape_grads(leaves, lambda: sum_(mul(flow_log_prob(stack, x, d), w))))
     # forward's z and logdet are separate ops over one shared pass
     for pick, weight in ((0, w_z), (1, w)):
-        close(_tape_grads(leaves, lambda: sum_(mul(stack.forward(x, d)[pick], weight))),
-              _tape_grads(leaves, lambda: sum_(mul(flow_forward(stack, x, d)[pick], weight))))
+        close(tape_grads(leaves, lambda: sum_(mul(stack.forward(x, d)[pick], weight))),
+              tape_grads(leaves, lambda: sum_(mul(flow_forward(stack, x, d)[pick], weight))))
     # every block alone, so a coupling stack checks both parities
     for block in stack.blocks:
         close([t.data for t in block.forward(x, d)],
               [t.data for t in block_forward(block, x, d)])
-        close(_tape_grads(leaves, lambda: sum_(mul(block.forward(x, d)[0], w_z))),
-              _tape_grads(leaves, lambda: sum_(mul(block_forward(block, x, d)[0], w_z))))
+        close(tape_grads(leaves, lambda: sum_(mul(block.forward(x, d)[0], w_z))),
+              tape_grads(leaves, lambda: sum_(mul(block_forward(block, x, d)[0], w_z))))
 
 
 @pytest.mark.parametrize("kind,dim", [("maf", 1), ("maf", 3), ("coupling", 1), ("coupling", 2)])
@@ -220,9 +211,10 @@ def test_log_prob_np_is_the_taped_value_bitwise(kind, dim):
     stack = _perturbed_stack(dim, kind, 70 + dim)
     x = _rng(71).normal(size=(50, dim))
     d = _rng(72).normal(size=(50, 3))
+    # the same bytes whether or not the pass records itself on a tape
     with GradientTape():
         taped = stack.log_prob(Tensor(x), Tensor(d, requires_grad=True)).data
-    assert taped.tobytes() == stack.log_prob_np(x, d).tobytes()
+    assert taped.tobytes() == stack.log_prob(Tensor(x), Tensor(d)).data.tobytes()
 
 
 def _traced_peak(fn) -> int:
@@ -251,7 +243,7 @@ def test_flow_memory_per_block():
                 loss = sum_(stack.log_prob(x_t, d_t))
             tape.backward(loss)
 
-        peaks[blocks] = (_traced_peak(lambda: stack.log_prob_np(x, d)), _traced_peak(taped))
+        peaks[blocks] = (_traced_peak(lambda: stack.log_prob(x_t, d_t)), _traced_peak(taped))
     per_row = 8 * rows
     assert peaks[12][0] - peaks[2][0] < 2 * per_row
     assert (peaks[12][1] - peaks[2][1]) / 10 < (hidden + 8) * per_row
@@ -263,8 +255,8 @@ def test_coupling_parameter_gradients_match_finite_differences():
     d = _rng(62).normal(size=(4, 2))
     w = _rng(63).normal(size=4)
     params = stack.parameters()
-    grads = _tape_grads(list(params.values()),
-                        lambda: sum_(mul(stack.log_prob(Tensor(x), Tensor(d)), Tensor(w))))
+    grads = tape_grads(list(params.values()),
+                       lambda: sum_(mul(stack.log_prob(Tensor(x), Tensor(d)), Tensor(w))))
     step = 1e-6
     for (name, p), grad in zip(params.items(), grads):
         assert np.any(grad != 0.0), name
@@ -272,9 +264,9 @@ def test_coupling_parameter_gradients_match_finite_differences():
         for idx in np.ndindex(p.shape):
             keep = p.data[idx]
             p.data[idx] = keep + step
-            hi = w @ stack.log_prob_np(x, d)
+            hi = w @ stack.log_prob(Tensor(x), Tensor(d)).data
             p.data[idx] = keep - step
-            lo = w @ stack.log_prob_np(x, d)
+            lo = w @ stack.log_prob(Tensor(x), Tensor(d)).data
             p.data[idx] = keep
             numeric[idx] = (hi - lo) / (2 * step)
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-7, err_msg=name)

@@ -64,7 +64,7 @@ def test_unbatched_reference():
         for i in range(3):
             x_row = window[i, t][None, :]
             d_row = deps[t].data[i][None, :]
-            manual[i, t] = model.flow.log_prob_np(x_row, d_row)[0]
+            manual[i, t] = model.flow.log_prob(Tensor(x_row), Tensor(d_row)).data[0]
     np.testing.assert_allclose(report.per_step, manual, atol=1e-10)
     assert abs(report.total - manual.sum()) < 1e-10
 
@@ -262,6 +262,24 @@ def test_score_windows_leaves_thread_counts_as_it_found_them():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e200])
+@pytest.mark.parametrize("input_dim", [1, 2])
+def test_non_finite_input_names_its_window(value, input_dim):
+    """One check after the flow reports every bad value with the window that held it."""
+    model = _perturb(_model(input_dim=input_dim, flow_blocks=2))
+    windows = np.random.default_rng(23).normal(size=(200, 3, 4, input_dim))
+    windows[137, 1, 2, 0] = value
+    # an infinite or overflowing value stays in its own row; a NaN may spread
+    # through the aggregation to a lower series of the same window
+    where = "in window 137," if np.isnan(value) else "in window 137, series 1, step 2"
+    with pytest.raises(NumericError, match=where):
+        model.score_windows(windows, workers=1)
+    with pytest.raises(NumericError, match=where.replace("137", "0")):
+        model.log_density(windows[137])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("value", [np.inf, 1e200])
 @pytest.mark.parametrize("bad, scorer, named", [
     ([2], "caller", 2), ([6], "pool", 6), ([2, 6], "caller", 2), ([6, 13], "pool", 6)])
@@ -273,8 +291,7 @@ def test_pooled_numeric_error_is_the_serial_one(monkeypatch, blas_at_three,
     windows[bad, 1, 2, 0] = value
     with pytest.raises(NumericError) as serial:
         model.score_windows(windows, batch_size=4, workers=1)
-    if value == 1e200:
-        assert f"in window {named}," in str(serial.value)
+    assert f"in window {named}," in str(serial.value)
 
     caller = threading.get_ident()
     caller_in, pool_in = threading.Event(), threading.Event()

@@ -381,6 +381,14 @@ def test_non_finite_adjacency_aborts_training(monkeypatch, value):
         train(split.train, split.validation, _tiny_config())
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_training_window_aborts_training():
+    split = _tiny_split()
+    split.train[3, 1, 4, 0] = np.nan
+    with pytest.raises(TrainingAbort, match="non-finite loss at epoch 0"):
+        train(split.train, split.validation, _tiny_config())
+
+
 def test_write_history_jsonl(tmp_path):
     history = [{"kind": "epoch", "epoch": 0}, {"kind": "final", "converged": True}]
     path = tmp_path / "history.jsonl"
