@@ -23,7 +23,7 @@ import numpy as np
 from . import data as dat
 from . import metrics as met
 from .dag import threshold_dag
-from .model import MODES, SCORE_BATCH, GanfModel
+from .model import MODES, GanfModel
 from .parallel import blas_threads, pool_size, worker_count
 from .tensor import GradientTape, NumericError
 from .training import (Adam, CheckpointError, TrainConfig, TrainingAbort,
@@ -128,13 +128,15 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
         raise click.UsageError("config is missing required field 'data_csv'")
     if not os.path.exists(data_csv):
         raise click.UsageError(f"--config data_csv path does not exist: {data_csv}")
-    window_cfg = {
-        "window_len": int(cfg.get("window_len", 20)),
-        "stride": int(cfg.get("stride", cfg.get("window_len", 20))),
-        "train_frac": float(cfg.get("train_frac", 0.6)),
-        "val_frac": float(cfg.get("val_frac", 0.2)),
-        "gap_limit": int(cfg.get("gap_limit", 5)),
-    }
+    window_cfg = {}
+    for key, convert, default in (
+            ("window_len", int, 20), ("stride", int, cfg.get("window_len", 20)),
+            ("train_frac", float, 0.6), ("val_frac", float, 0.2), ("gap_limit", int, 5)):
+        value = cfg.get(key, default)
+        try:
+            window_cfg[key] = convert(value)
+        except (ValueError, TypeError):
+            raise click.UsageError(f"config {key} must be a number, got {value!r}")
     for key in ("window_len", "stride"):
         if window_cfg[key] < 1:
             raise click.UsageError(f"config {key} must be at least 1, got {window_cfg[key]}")
@@ -170,11 +172,6 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
 
 # ------------------------------------------------------------------- score
 
-def _scoring_threads(n_windows: int, workers: int) -> int:
-    """Threads ``GanfModel.score_windows`` runs on at its default batch size."""
-    return pool_size(-(-n_windows // SCORE_BATCH), workers)
-
-
 def _score_parallel(model: GanfModel, windows: np.ndarray,
                     workers: int) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
     """Score windows on up to ``workers`` threads with ``GanfModel.score_windows``.
@@ -182,7 +179,8 @@ def _score_parallel(model: GanfModel, windows: np.ndarray,
     Returns (totals, per-series scores, OpenBLAS threads in effect or None).
     """
     totals, per_series = model.score_windows(windows, workers=workers)
-    return totals, per_series, blas_threads(_scoring_threads(len(windows), workers))
+    batch = model.score_batch_size(len(windows), windows.shape[2])
+    return totals, per_series, blas_threads(pool_size(-(-len(windows) // batch), workers))
 
 
 @main.command("score")
@@ -208,7 +206,7 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
     workers = _worker_count()
     config = {"command": "score", "checkpoint": str(ckpt_path), "data_csv": str(data_csv),
               "window_len": window_len, "stride": stride, "workers": None,
-              "blas_threads": None}
+              "blas_threads": None, "batch_windows": None}
     _echo_config(out, config)
     try:
         series, entities, _ = dat.load_csv(data_csv)
@@ -228,8 +226,10 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
         raise click.UsageError(str(exc))
     except (NumericError, CheckpointError) as exc:
         _fail(exc)
-    threads = _scoring_threads(len(windows), workers)
-    _echo_config(out, {**config, "workers": threads, "blas_threads": blas_in_effect})
+    batch = model.score_batch_size(len(windows), window_len)
+    threads = pool_size(-(-len(windows) // batch), workers)
+    _echo_config(out, {**config, "workers": threads, "blas_threads": blas_in_effect,
+                       "batch_windows": batch})
     with open(out / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_start", "score"]
@@ -238,7 +238,8 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
             writer.writerow([int(s), repr(float(tot))] + [repr(float(v)) for v in row])
     with open(out / "summary.json", "w") as fh:
         json.dump({"n_windows": len(starts), "windows_per_s": len(starts) / seconds,
-                   "workers": threads, "blas_threads": blas_in_effect}, fh, indent=2)
+                   "workers": threads, "blas_threads": blas_in_effect,
+                   "batch_windows": batch}, fh, indent=2)
     click.echo(f"wrote {len(starts)} rows to {out / 'scores.csv'}")
 
 

@@ -22,7 +22,10 @@ from .tensor import (NumericError, ShapeError, Tensor, mul, reshape, sum_,
                      transpose)
 
 MODES = ("graph", "no-graph", "full-chain")
-SCORE_BATCH = 64   # windows per scoring batch
+SCORE_BATCH = 64   # most windows in one scoring batch
+# most (window x series x step x width) cells in one scoring batch: the
+# default model's 64-window batch (n=5, T=20, hidden and flow width 32)
+SCORE_CELLS = SCORE_BATCH * 5 * 20 * 32
 
 
 def _finite(per_step: np.ndarray, first: int) -> np.ndarray:
@@ -168,25 +171,43 @@ class GanfModel:
         """Negative per-series conditional log-densities."""
         return -self.log_density(window).per_series
 
-    def score_windows(self, windows: np.ndarray, batch_size: int = SCORE_BATCH,
+    def score_batch_size(self, n_windows: int, t_len: int) -> int:
+        """Windows per scoring batch for ``n_windows`` windows of ``t_len`` steps.
+
+        A batch holds at most ``SCORE_BATCH`` windows and at most
+        ``SCORE_CELLS`` (window x series x step x width) cells, width being
+        the wider of the LSTM and the flow conditioner; the windows are then
+        split into that many batches of equal size. The size depends only on
+        the model and the window shape, never on the thread count.
+        """
+        width = max(self.hidden_dim, self.flow_hidden)
+        cap = max(1, min(SCORE_BATCH, SCORE_CELLS // (self._n_eff * t_len * width)))
+        batches = max(1, -(-n_windows // cap))
+        return max(1, -(-n_windows // batches))
+
+    def score_windows(self, windows: np.ndarray, batch_size: Optional[int] = None,
                       workers: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """(total scores, per-series scores) over a stack of (N, n, T, D) windows.
 
-        Windows are scored in batches of ``batch_size``, and each batch
-        writes its own rows, so the scores are byte-identical however the
-        batches are spread over threads. Up to ``workers`` threads score
-        (default :func:`ganf.parallel.worker_count`: ``GANF_THREADS``, or
-        else every CPU in the process's affinity mask), each taking two
-        batches or more; the calling thread is one of them, and with fewer
-        batches the loop runs on it alone. While several threads score,
-        OpenBLAS is held at one thread and restored when the last finishes.
-        A non-finite log-density raises NumericError naming the lowest
-        window that has one, as the serial loop does.
+        Windows are scored in batches of ``batch_size`` (default
+        :meth:`score_batch_size`, which bounds a batch's memory whatever n
+        is), and each batch writes its own rows, so the scores are
+        byte-identical however the batches are spread over threads. Up to
+        ``workers`` threads score (default :func:`ganf.parallel.worker_count`:
+        ``GANF_THREADS``, or else every CPU in the process's affinity mask),
+        each taking two batches or more; the calling thread is one of them,
+        and with fewer batches the loop runs on it alone. While several
+        threads score, OpenBLAS is held at one thread and restored when the
+        last finishes. NumPy's floating-point warnings are silenced inside a
+        batch: a non-finite log-density raises NumericError naming the
+        lowest window that has one, as the serial loop does.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 4:
             raise ShapeError(f"expected (N, n, T, D) windows, got shape {windows.shape}")
-        if batch_size < 1:
+        if batch_size is None:
+            batch_size = self.score_batch_size(windows.shape[0], windows.shape[2])
+        elif batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         if workers is None:
             workers = worker_count()
@@ -197,7 +218,10 @@ class GanfModel:
 
         def score_batch(k: int):
             lo = k * batch_size
-            per_step = _finite(self.per_step_log_prob(windows[lo:lo + batch_size]).data, lo)
+            # errstate is per context, and a pool thread runs in its own
+            with np.errstate(all="ignore"):
+                per_step = _finite(
+                    self.per_step_log_prob(windows[lo:lo + batch_size]).data, lo)
             ps = per_step.sum(axis=2)
             per_series[lo:lo + batch_size] = -ps
             totals[lo:lo + batch_size] = -ps.sum(axis=1)

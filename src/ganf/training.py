@@ -129,9 +129,8 @@ class TrainState:
     history: list[dict] = field(default_factory=list)
 
 
-def _validation_log_density(model: GanfModel, windows: np.ndarray,
-                            batch_size: int) -> float:
-    totals, _ = model.score_windows(windows, batch_size=batch_size)
+def _validation_log_density(model: GanfModel, windows: np.ndarray) -> float:
+    totals, _ = model.score_windows(windows)
     return float(-totals.mean())
 
 
@@ -169,7 +168,7 @@ def inner_optimize(state: TrainState, train_windows: np.ndarray,
             epoch_loss += loss.item()
             epoch_nll += nll.item()
             n_batches += 1
-        val_ld = _validation_log_density(model, val_windows, config.batch_size) \
+        val_ld = _validation_log_density(model, val_windows) \
             if val_windows.size else float("nan")
         h = acyclicity(model.adjacency.data)
         wall = time.perf_counter() - start

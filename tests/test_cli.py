@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from ganf import cli, parallel
 from ganf.cli import main, read_scores_csv
-from ganf.data import DataError, SynthSpec
+from ganf.data import DataError, SynthSpec, load_csv, write_series_csv
+from ganf.model import GanfModel
 from ganf.parallel import blas_threads
 from ganf.tensor import NumericError
-from ganf.training import checkpoint_load
+from ganf.training import checkpoint_load, checkpoint_save
 from test_training import poison_adjacency
 
 
@@ -270,6 +271,18 @@ def test_train_out_of_range_model_config_exit_2(runner, synth_dir, tmp_path, key
                                "--out", str(tmp_path / "t")])
     assert res.exit_code == 2, res.output
     assert key in res.output
+    assert not (tmp_path / "t" / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("window_len", "abc"), ("stride", "x"), ("train_frac", "x"), ("val_frac", None),
+    ("gap_limit", [5])])
+def test_train_non_numeric_window_config_exit_2(runner, synth_dir, tmp_path, key, value):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, **{key: value})))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert f"config {key} must be a number" in res.output
     assert not (tmp_path / "t" / "resolved_config.json").exists()
 
 
@@ -598,8 +611,11 @@ def test_score_records_threads_and_throughput(runner, synth_dir, trained_dir, tm
     """summary.json and the echoed config record the threads that ran and BLAS's count.
 
     Stride 100 leaves 6 windows, one batch, so the serial loop runs with
-    BLAS's own count; stride 1 leaves 591 windows, ten batches, for a pool.
+    BLAS's own count; stride 1 leaves 591 windows, ten batches of 60 or
+    fewer, for a pool.
     """
+    model = checkpoint_load(trained_dir / "checkpoint.ganf")
+    assert (model.score_batch_size(6, 10), model.score_batch_size(591, 10)) == (6, 60)
     monkeypatch.setenv("GANF_THREADS", "2")
     for stride, n_windows, want_workers, want_blas in ((100, 6, 1, blas_at_three),
                                                        (1, 591, 2, 1)):
@@ -611,11 +627,56 @@ def test_score_records_threads_and_throughput(runner, synth_dir, trained_dir, tm
         assert res.exit_code == 0, res.output
         assert blas_threads() == blas_at_three
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary) == {"n_windows", "windows_per_s", "workers", "blas_threads"}
+        assert set(summary) == {"n_windows", "windows_per_s", "workers", "blas_threads",
+                                "batch_windows"}
         assert summary["n_windows"] == n_windows
         assert summary["windows_per_s"] > 0
         assert summary["workers"] == want_workers
         assert summary["blas_threads"] == want_blas
+        assert summary["batch_windows"] == model.score_batch_size(n_windows, 10)
         echoed = json.loads((out / "resolved_config.json").read_text())
         assert echoed["workers"] == want_workers
         assert echoed["blas_threads"] == want_blas
+        assert echoed["batch_windows"] == summary["batch_windows"]
+
+
+def test_score_pools_on_a_wide_graph(runner, tmp_path, monkeypatch):
+    """At n = 64, T = 20 and width 32 a batch holds 5 windows, so 21 windows pool."""
+    model = GanfModel(n_series=64, input_dim=1, hidden_dim=32, flow_blocks=2,
+                      flow_hidden=32, seed=0)
+    checkpoint_save(tmp_path / "wide.ganf", model, extra={"window_len": 20})
+    write_series_csv(tmp_path / "wide.csv",
+                     np.random.default_rng(0).normal(size=(64, 40, 1)))
+    monkeypatch.setenv("GANF_THREADS", "2")
+    res = runner.invoke(main, ["score", "--checkpoint", str(tmp_path / "wide.ganf"),
+                               "--data", str(tmp_path / "wide.csv"),
+                               "--out", str(tmp_path / "s")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["n_windows"] == 21
+    assert summary["batch_windows"] == model.score_batch_size(21, 20) == 5
+    assert summary["workers"] == 2
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("value", [np.inf, 1e200])
+def test_score_non_finite_reading_fails_without_warnings(runner, synth_dir, trained_dir,
+                                                         tmp_path, monkeypatch,
+                                                         value, threads):
+    """Exit 1 naming the first window over the bad step, and no NumPy warning first.
+
+    591 windows make ten batches, so at two threads a pool thread scores too.
+    """
+    series, _, _ = load_csv(synth_dir / "series.csv")
+    series[1, 400, 0] = value
+    write_series_csv(tmp_path / "bad.csv", series)
+    monkeypatch.setenv("GANF_THREADS", threads)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["score", "--checkpoint",
+                                   str(trained_dir / "checkpoint.ganf"),
+                                   "--data", str(tmp_path / "bad.csv"),
+                                   "--out", str(tmp_path / "s")])
+    assert res.exit_code == 1, res.output
+    assert "non-finite log-density in window 391," in res.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

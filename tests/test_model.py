@@ -1,9 +1,10 @@
 import functools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ganf.parallel
@@ -242,7 +243,9 @@ def _scorer():
 
 
 @settings(max_examples=40, deadline=None)
-@given(count=st.integers(0, 300), batch_size=st.integers(1, 70), workers=st.integers(1, 4))
+@given(count=st.integers(0, 300), batch_size=st.none() | st.integers(1, 70),
+       workers=st.integers(1, 4))
+@example(count=300, batch_size=None, workers=2)
 def test_pooled_scores_are_byte_equal_to_serial(count, batch_size, workers):
     model = _scorer()
     windows = np.random.default_rng(count).normal(size=(count, 3, 4, 2))
@@ -250,6 +253,53 @@ def test_pooled_scores_are_byte_equal_to_serial(count, batch_size, workers):
     pooled = model.score_windows(windows, batch_size, workers=workers)
     assert pooled[0].tobytes() == serial[0].tobytes()
     assert pooled[1].tobytes() == serial[1].tobytes()
+
+
+@pytest.mark.parametrize("shape, count", [
+    (dict(n_series=5, input_dim=1, hidden_dim=32, flow_blocks=6, flow_hidden=32, t_len=20), 581),
+    (dict(n_series=512, input_dim=1, hidden_dim=8, flow_blocks=2, flow_hidden=8, t_len=4), 61),
+], ids=["default", "wide"])
+def test_default_batching_is_byte_equal_to_64_window_batches(shape, count):
+    """Batches sized by work score the same bytes as the fixed 64-window batches."""
+    shape = dict(shape)
+    t_len = shape.pop("t_len")
+    model = _perturb(GanfModel(**shape, seed=3))
+    windows = np.random.default_rng(24).normal(
+        size=(count, shape["n_series"], t_len, shape["input_dim"]))
+    by_work = model.score_windows(windows)
+    by_count = model.score_windows(windows, batch_size=64, workers=1)
+    assert by_work[0].tobytes() == by_count[0].tobytes()
+    assert by_work[1].tobytes() == by_count[1].tobytes()
+
+
+@pytest.mark.parametrize("n_windows, t_len, n_series, width, want", [
+    (61, 4, 512, 8, 11),     # cap 12: six batches, the last of 6
+    (16, 4, 512, 8, 8),
+    (581, 20, 5, 32, 59),    # cap 64: ten batches, the last of 50
+    (60, 20, 5, 32, 60),
+    (9981, 20, 5, 32, 64),
+    (64, 20, 64, 32, 5),     # cap 5
+    (3, 20, 4096, 32, 1),    # fewer cells than one window: one window a batch
+    (0, 20, 5, 32, 1),
+])
+def test_score_batch_size_caps_cells_then_splits_evenly(n_windows, t_len, n_series,
+                                                        width, want):
+    model = GanfModel(n_series=n_series, input_dim=1, hidden_dim=width, flow_blocks=1,
+                      flow_hidden=width, mode="no-graph")
+    assert model.score_batch_size(n_windows, t_len) == want
+
+
+def test_scoring_batch_memory_stays_bounded_on_wide_graphs():
+    """A 64-window pass at n = 64 holds a few windows' work at a time, not all 64."""
+    model = GanfModel(n_series=64, input_dim=1, hidden_dim=32, flow_hidden=32, seed=0)
+    windows = np.random.default_rng(25).normal(size=(64, 64, 20, 1))
+    tracemalloc.start()
+    try:
+        model.score_windows(windows, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_score_windows_leaves_thread_counts_as_it_found_them():

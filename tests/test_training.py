@@ -365,8 +365,8 @@ def poison_adjacency(monkeypatch, value):
     """Set one entry of A to ``value`` just before the first epoch record takes h(A)."""
     validate = ganf.training._validation_log_density
 
-    def poisoned(model, windows, batch_size):
-        out = validate(model, windows, batch_size)
+    def poisoned(model, windows):
+        out = validate(model, windows)
         model.adjacency.data[0, 1] = value
         return out
 
