@@ -279,7 +279,7 @@ def test_default_batching_is_byte_equal_to_64_window_batches(shape, count):
     (60, 20, 5, 32, 60),
     (9981, 20, 5, 32, 64),
     (64, 20, 64, 32, 5),     # cap 5
-    (3, 20, 4096, 32, 1),    # fewer cells than one window: one window a batch
+    (3, 64, 512, 8, 1),      # one window is over the cap: one window a batch
     (0, 20, 5, 32, 1),
 ])
 def test_score_batch_size_caps_cells_then_splits_evenly(n_windows, t_len, n_series,
