@@ -5,13 +5,13 @@ from .dag import (LagrangianState, acyclicity, acyclicity_grad,
                   augmented_lagrangian, dual_penalty_update, threshold_dag)
 from .flow import CouplingBlock, FlowStack, MafBlock
 from .model import DensityReport, GanfModel
-from .tensor import GradientTape, Tensor, backward
+from .tensor import GradientTape, Tensor
 from .training import TrainConfig, checkpoint_load, checkpoint_save, train
 
 __all__ = [
     "CouplingBlock", "DensityReport", "FlowStack", "GanfModel",
     "GradientTape", "LagrangianState", "MafBlock", "Tensor", "TrainConfig",
-    "acyclicity", "acyclicity_grad", "augmented_lagrangian", "backward",
+    "acyclicity", "acyclicity_grad", "augmented_lagrangian",
     "checkpoint_load", "checkpoint_save", "dual_penalty_update",
     "threshold_dag", "train",
 ]

@@ -214,10 +214,9 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
             raise CheckpointError(
                 f"checkpoint adjacency 'A' is {model.n_series}x{model.n_series} with "
                 f"D={model.input_dim}, but data has n={len(entities)}, D={series.shape[2]}")
-        mean = np.asarray(extra.get("norm_mean")) if extra.get("norm_mean") else None
-        if mean is not None:
-            std = np.asarray(extra["norm_std"])
-            series = (series - mean[:, None, :]) / std[:, None, :]
+        if extra.get("norm_mean"):
+            series = dat.NormStats(np.asarray(extra["norm_mean"]),
+                                   np.asarray(extra["norm_std"])).apply(series)
         windows, starts = dat.make_windows(series, window_len, stride)
         start = time.perf_counter()
         totals, per_series, blas_in_effect = _score_parallel(model, windows, workers)

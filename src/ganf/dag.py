@@ -17,13 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .matexp import expm
-from .tensor import ShapeError, Tensor, _emit, mul
-
-
-def _check_square(a: np.ndarray):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency matrix must be square, got shape {a.shape}")
+from .matexp import _check_square, expm
+from .tensor import Tensor, _emit, mul
 
 
 # (copy of the last A, its read-only E); replaced whole, so a reader never
@@ -50,7 +45,7 @@ def _exp_squared(a: np.ndarray) -> np.ndarray:
 def acyclicity(a: np.ndarray) -> float:
     """h(A) = tr(e^{A o A}) - n; non-negative, zero iff acyclic support."""
     a = np.asarray(a, dtype=np.float64)
-    _check_square(a)
+    _check_square(a, "acyclicity")
     # mathematically >= 0 since A o A is entrywise non-negative; clamp roundoff
     return max(float(np.trace(_exp_squared(a)) - a.shape[0]), 0.0)
 
@@ -58,14 +53,14 @@ def acyclicity(a: np.ndarray) -> float:
 def acyclicity_grad(a: np.ndarray) -> np.ndarray:
     """Closed-form gradient (e^{A o A})^T o 2A."""
     a = np.asarray(a, dtype=np.float64)
-    _check_square(a)
+    _check_square(a, "acyclicity_grad")
     return _exp_squared(a).T * (2.0 * a)
 
 
 def acyclicity_tensor(a: Tensor) -> Tensor:
     """h(A) as one tape op whose VJP g * (E^T o 2A) reuses the forward E = e^{A o A}."""
     ad = a.data
-    _check_square(ad)
+    _check_square(ad, "acyclicity_tensor")
     e = _exp_squared(ad)
     return _emit([a], np.trace(e) - ad.shape[0], lambda g: (g * (e.T * (2.0 * ad)),))
 
@@ -115,7 +110,7 @@ def threshold_dag(a: np.ndarray, eps: float) -> tuple[list[tuple[int, int, float
     Acyclicity is reported (via topological sort), not enforced.
     """
     a = np.asarray(a, dtype=np.float64)
-    _check_square(a)
+    _check_square(a, "threshold_dag")
     if eps <= 0:
         raise ValueError("threshold eps must be positive")
     n = a.shape[0]

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import numbers
 from contextlib import closing
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -195,14 +194,13 @@ def make_windows(series: np.ndarray, window_len: int,
 
 @dataclass
 class NormStats:
-    """Per-entity, per-attribute z-score statistics with split provenance."""
+    """Per-entity, per-attribute z-score statistics of the training windows."""
     mean: np.ndarray          # (n, D)
     std: np.ndarray           # (n, D)
-    source_split: str
-    floored: np.ndarray       # (n, D) bool; true where std was eps-floored
 
-    def apply(self, windows: np.ndarray) -> np.ndarray:
-        return (windows - self.mean[None, :, None, :]) / self.std[None, :, None, :]
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """z-score an (n, L, D) series or an (N, n, T, D) stack of windows."""
+        return (x - self.mean[:, None]) / self.std[:, None]
 
 
 @dataclass
@@ -236,22 +234,15 @@ def fit_norm_stats(train_windows: np.ndarray, eps: float = 1e-6) -> NormStats:
         train_windows.shape[1], -1, train_windows.shape[3])
     mean = flat.mean(axis=1)
     std = flat.std(axis=1)
-    floored = std < eps
-    std = np.where(floored, eps, std)
-    return NormStats(mean=mean, std=std, source_split="train", floored=floored)
+    return NormStats(mean=mean, std=np.where(std < eps, eps, std))
 
 
 def normalize(split: DatasetSplit) -> DatasetSplit:
     """z-score all splits using train-only statistics."""
     stats = fit_norm_stats(split.train)
-    return DatasetSplit(
-        train=stats.apply(split.train),
-        validation=stats.apply(split.validation) if split.validation.size else split.validation,
-        test=stats.apply(split.test) if split.test.size else split.test,
-        train_starts=split.train_starts,
-        validation_starts=split.validation_starts,
-        test_starts=split.test_starts,
-        stats=stats)
+    return replace(split, train=stats.apply(split.train),
+                   validation=stats.apply(split.validation),
+                   test=stats.apply(split.test), stats=stats)
 
 
 # ---------------------------------------------------------------- synthetic
@@ -273,13 +264,6 @@ class SynthSpec:
     stride: int = 20
     anomaly_start_frac: float = 0.8     # inject only into late (test-region) windows
     adjacency: Optional[list[list[float]]] = None  # explicit ground truth, optional
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthSpec":
-        return cls(**json.loads(text))
 
 
 def _check_synth(spec: SynthSpec, length: int):

@@ -28,23 +28,6 @@ SCORE_BATCH = 64   # most windows in one scoring batch
 SCORE_CELLS = SCORE_BATCH * 5 * 20 * 32
 
 
-def _finite(per_step: np.ndarray, first: int) -> np.ndarray:
-    """``per_step``, a (B, n, T) block of log-densities whose window 0 is window ``first``.
-
-    This is the one finiteness check of a forward pass: an infinite or
-    overflowing input makes its own log-density non-finite, and a NaN carries
-    through every layer. The first non-finite entry in (window, series, step)
-    order raises NumericError naming all three. The window is exact. The
-    series need not be the one whose input was bad: a NaN spreads through the
-    aggregation A H_t to other series of its window, and the lowest is named.
-    """
-    if not np.all(np.isfinite(per_step)):
-        bad = np.argwhere(~np.isfinite(per_step))[0]
-        raise NumericError(f"non-finite log-density in window {first + bad[0]}, "
-                           f"series {bad[1]}, step {bad[2]}")
-    return per_step
-
-
 @dataclass
 class DensityReport:
     """Additive decomposition of one window's log-density."""
@@ -153,12 +136,33 @@ class GanfModel:
         totals = sum_(per_step, axis=(1, 2))
         return mul(sum_(totals), Tensor(-1.0 / per_step.shape[0]))
 
+    def _checked_log_prob(self, x: np.ndarray, first: int) -> np.ndarray:
+        """(B, n_eff, T) log-densities of windows ``x``, whose window 0 is window ``first``.
+
+        Every score comes from this pass. NumPy's floating-point warnings are
+        silenced inside it (errstate is per context, and a pool thread runs in
+        its own), and its one finiteness check stands in for them: an infinite
+        or overflowing input makes its own log-density non-finite, and a NaN
+        carries through every layer. The first non-finite entry in (window,
+        series, step) order raises NumericError naming all three. The window
+        is exact. The series need not be the one whose input was bad: a NaN
+        spreads through the aggregation A H_t to other series of its window,
+        and the lowest is named.
+        """
+        with np.errstate(all="ignore"):
+            per_step = self.per_step_log_prob(x).data
+        if not np.all(np.isfinite(per_step)):
+            bad = np.argwhere(~np.isfinite(per_step))[0]
+            raise NumericError(f"non-finite log-density in window {first + bad[0]}, "
+                               f"series {bad[1]}, step {bad[2]}")
+        return per_step
+
     def log_density(self, window: np.ndarray) -> DensityReport:
         """Exact additive decomposition of one window's log-density."""
         window = np.asarray(window, dtype=np.float64)
         if window.ndim != 3:
             raise ShapeError(f"expected one (n, T, D) window, got shape {window.shape}")
-        per_step = _finite(self.per_step_log_prob(window[None]).data, 0)[0]
+        per_step = self._checked_log_prob(window[None], 0)[0]
         per_series = per_step.sum(axis=1)
         return DensityReport(total=float(per_series.sum()),
                              per_series=per_series, per_step=per_step)
@@ -176,11 +180,13 @@ class GanfModel:
 
         A batch holds at most ``SCORE_BATCH`` windows and at most
         ``SCORE_CELLS`` (window x series x step x width) cells, width being
-        the wider of the LSTM and the flow conditioner; the windows are then
-        split into that many batches of equal size. The size depends only on
-        the model and the window shape, never on the thread count.
+        the widest of the LSTM, the flow conditioner and its [mu, alpha]
+        output, which is twice the input width (n D in full-chain mode); the
+        windows are then split into that many batches of equal size. The
+        size depends only on the model and the window shape, never on the
+        thread count.
         """
-        width = max(self.hidden_dim, self.flow_hidden)
+        width = max(self.hidden_dim, self.flow_hidden, 2 * self._d_eff)
         cap = max(1, min(SCORE_BATCH, SCORE_CELLS // (self._n_eff * t_len * width)))
         batches = max(1, -(-n_windows // cap))
         return max(1, -(-n_windows // batches))
@@ -198,9 +204,9 @@ class GanfModel:
         each taking two batches or more; the calling thread is one of them,
         and with fewer batches the loop runs on it alone. While several
         threads score, OpenBLAS is held at one thread and restored when the
-        last finishes. NumPy's floating-point warnings are silenced inside a
-        batch: a non-finite log-density raises NumericError naming the
-        lowest window that has one, as the serial loop does.
+        last finishes. A non-finite log-density raises NumericError naming
+        the lowest window that has one, as the serial loop does, and NumPy
+        prints no floating-point warning.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 4:
@@ -218,11 +224,7 @@ class GanfModel:
 
         def score_batch(k: int):
             lo = k * batch_size
-            # errstate is per context, and a pool thread runs in its own
-            with np.errstate(all="ignore"):
-                per_step = _finite(
-                    self.per_step_log_prob(windows[lo:lo + batch_size]).data, lo)
-            ps = per_step.sum(axis=2)
+            ps = self._checked_log_prob(windows[lo:lo + batch_size], lo).sum(axis=2)
             per_series[lo:lo + batch_size] = -ps
             totals[lo:lo + batch_size] = -ps.sum(axis=1)
 

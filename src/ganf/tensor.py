@@ -55,13 +55,12 @@ def recording(*inputs: "Tensor") -> bool:
 class Tensor:
     """A row-major float64 array plus gradient metadata."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._tape: Optional["GradientTape"] = None
 
     @property
     def shape(self):
@@ -170,17 +169,10 @@ class GradientTape:
                     flowing[id(inp)] = gin if prev is None else prev + gin
                 else:
                     inp.grad = gin.copy() if inp.grad is None else inp.grad + gin
-        # recorded tensors point back at this tape: dropping the records breaks
-        # that cycle, so the activations are freed without waiting for a full GC
+        # the caller may keep the tape alive: dropping the records frees the
+        # activations now
         self._records.clear()
         self._produced.clear()
-
-
-def backward(loss: Tensor):
-    """Replay the tape that recorded ``loss``."""
-    if loss._tape is None:
-        raise TapeStateError("loss was not recorded on any tape")
-    loss._tape.backward(loss)
 
 
 def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -188,8 +180,7 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     if recording(*inputs):
-        out._tape = _ACTIVE_TAPE.get()
-        out._tape._append(_OpRecord(tuple(inputs), out, vjp))
+        _ACTIVE_TAPE.get()._append(_OpRecord(tuple(inputs), out, vjp))
     return out
 
 

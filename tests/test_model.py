@@ -1,6 +1,7 @@
 import functools
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -272,20 +273,30 @@ def test_default_batching_is_byte_equal_to_64_window_batches(shape, count):
     assert by_work[1].tobytes() == by_count[1].tobytes()
 
 
-@pytest.mark.parametrize("n_windows, t_len, n_series, width, want", [
-    (61, 4, 512, 8, 11),     # cap 12: six batches, the last of 6
-    (16, 4, 512, 8, 8),
-    (581, 20, 5, 32, 59),    # cap 64: ten batches, the last of 50
-    (60, 20, 5, 32, 60),
-    (9981, 20, 5, 32, 64),
-    (64, 20, 64, 32, 5),     # cap 5
-    (3, 64, 512, 8, 1),      # one window is over the cap: one window a batch
-    (0, 20, 5, 32, 1),
-])
+_BATCH_ROWS = [   # (n_windows, t_len, n_series, width, want, mode)
+    (61, 4, 512, 8, 11, "no-graph"),      # cap 12: six batches, the last of 6
+    (16, 4, 512, 8, 8, "no-graph"),
+    (581, 20, 5, 32, 59, "no-graph"),     # cap 64: ten batches, the last of 50
+    (60, 20, 5, 32, 60, "no-graph"),
+    (9981, 20, 5, 32, 64, "no-graph"),
+    (64, 20, 64, 32, 5, "no-graph"),      # cap 5
+    (3, 64, 512, 8, 1, "no-graph"),       # one window is over the cap: one window a batch
+    (0, 20, 5, 32, 1, "no-graph"),
+    # full-chain: one series n wide, so [mu, alpha] is 2n wide
+    (100, 20, 128, 8, 34, "full-chain"),  # cap 40, not 64: three batches
+    (64, 20, 128, 8, 32, "full-chain"),
+    (581, 20, 5, 32, 59, "full-chain"),   # 2n = 10 is under the width 32
+]
+
+
+# the no-graph rows are named without their mode
+@pytest.mark.parametrize("n_windows, t_len, n_series, width, want, mode", _BATCH_ROWS,
+                         ids=["-".join(map(str, r[:5] if r[5] == "no-graph" else r))
+                              for r in _BATCH_ROWS])
 def test_score_batch_size_caps_cells_then_splits_evenly(n_windows, t_len, n_series,
-                                                        width, want):
+                                                        width, want, mode):
     model = GanfModel(n_series=n_series, input_dim=1, hidden_dim=width, flow_blocks=1,
-                      flow_hidden=width, mode="no-graph")
+                      flow_hidden=width, mode=mode)
     assert model.score_batch_size(n_windows, t_len) == want
 
 
@@ -310,8 +321,6 @@ def test_score_windows_leaves_thread_counts_as_it_found_them():
     assert (threading.active_count(), ganf.parallel.blas_threads()) == before
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e200])
 @pytest.mark.parametrize("input_dim", [1, 2])
 def test_non_finite_input_names_its_window(value, input_dim):
@@ -326,6 +335,18 @@ def test_non_finite_input_names_its_window(value, input_dim):
         model.score_windows(windows, workers=1)
     with pytest.raises(NumericError, match=where.replace("137", "0")):
         model.log_density(windows[137])
+
+
+@pytest.mark.parametrize("scorer", ["log_density", "anomaly_score", "per_series_scores"])
+def test_one_window_non_finite_raises_without_warnings(scorer):
+    """The one-window scores take the checked pass: an error naming window 0, no warning."""
+    window = np.random.default_rng(26).normal(size=(3, 4, 2))
+    window[1, 2, 0] = np.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="in window 0, series 1, step 2"):
+            getattr(_perturb(_model()), scorer)(window)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ganf.tensor import (GradientTape, ShapeError, Tensor, TapeStateError, add,
-                         backward, concat, mul, recording, reshape, slice_, sum_,
-                         transpose)
+                         concat, mul, recording, reshape, slice_, sum_, transpose)
 from tape_reference import exp, matmul, relu, sigmoid, tanh
 
 
@@ -123,14 +122,6 @@ def test_nested_tapes_raise():
                 pass
 
 
-def test_module_level_backward():
-    x = Tensor([3.0], requires_grad=True)
-    with GradientTape():
-        loss = sum_(mul(x, x))
-    backward(loss)
-    np.testing.assert_allclose(x.grad, [6.0])
-
-
 def _fd_grad(f, x, step=1e-5):
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
@@ -209,8 +200,11 @@ def test_determinism():
 
 def test_no_recording_outside_tape():
     x = Tensor([1.0], requires_grad=True)
+    assert not recording(x)
     y = mul(x, x)
-    assert y._tape is None
+    with GradientTape() as tape:
+        mul(y, y)
+    assert len(tape) == 1   # y was made before the tape and is not on it
 
 
 def test_recording_reflects_active_tape_and_inputs():
