@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -54,6 +55,16 @@ def _load_json(path, what: str) -> dict:
         raise click.UsageError(f"{what} file {path} is not valid JSON: {exc}")
 
 
+def _finite(ctx, param, value):
+    """Click callback: ``click.FloatRange`` lets nan and inf through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
+_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
+
 def _fail(exc: Exception):
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
@@ -70,7 +81,7 @@ def main():
 @click.option("--spec", "spec_path", required=True, type=click.Path(), help="SynthSpec JSON file.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--length", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_synth(spec_path, out_dir, length, seed):
     """Generate a synthetic dataset: series CSV, labels CSV, ground-truth graph."""
     spec_dict = _load_json(spec_path, "spec")
@@ -255,8 +266,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @click.option("--labels", "labels_path", required=True, type=click.Path())
 @click.option("--smooth/--hard", default=False,
               help="Smooth anomaly starts into probabilistic labels.")
-@click.option("--sigma", default=6.0, show_default=True)
-@click.option("--bins", default=50, show_default=True)
+@click.option("--sigma", type=_POSITIVE, callback=_finite, default=6.0, show_default=True)
+@click.option("--bins", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_eval(scores_path, labels_path, smooth, sigma, bins, out_dir):
     """Compute ROC/AUC and a score histogram from scores + labels CSVs."""
@@ -304,7 +315,7 @@ def cmd_eval(scores_path, labels_path, smooth, sigma, bins, out_dir):
 
 @main.command("export-graph")
 @click.argument("checkpoints", nargs=-1, required=True, type=click.Path())
-@click.option("--epsilon", default=0.01, show_default=True)
+@click.option("--epsilon", type=_POSITIVE, callback=_finite, default=0.01, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_export_graph(checkpoints, epsilon, out_dir):
     """Threshold adjacency matrices into edge lists (JSON + DOT).
@@ -359,7 +370,7 @@ def cmd_export_graph(checkpoints, epsilon, out_dir):
 @click.option("--attrs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--hidden", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--iters", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_bench(grid, batch, attrs, hidden, iters, seed, out_dir):
     """Wall time per training iteration over an (n, T) grid at fixed B and D."""

@@ -19,6 +19,15 @@ import numpy as np
 from .tensor import ShapeError, Tensor, _emit, recording
 
 
+# From this many nodes up, a pass with no tape aggregates node-major: one
+# (n, n) @ (n, T*B*hidden) GEMM that reads A once, where batch-major runs T*B
+# thin products that each read A again. Below it the thin products are
+# faster on one BLAS thread. Both orders give the same bytes when hidden is
+# a multiple of 8, the column block of OpenBLAS's dgemm kernels; narrower
+# remainders go through edge kernels that round differently.
+NODE_MAJOR_MIN_N = 384
+
+
 class ContractError(ValueError):
     """A caller-side contract was violated (e.g. nonzero adjacency diagonal)."""
 
@@ -174,7 +183,13 @@ def encode_dependencies(params: EncoderParams, hidden: Tensor | Sequence[Tensor]
     t_len = h.shape[0]
     ad, w1, w2, w3 = a.data, params.w1.data, params.w2.data, params.w3.data
     hn = h.reshape(t_len, batch, n, d)
-    ah = np.matmul(ad, hn).reshape(-1, d)           # A H_t for every t in one matmul
+    if (n >= NODE_MAJOR_MIN_N and d % 8 == 0
+            and not recording(*steps, a, params.w1, params.w2, params.w3)):
+        hm = np.ascontiguousarray(hn.transpose(2, 0, 1, 3)).reshape(n, -1)
+        ah = np.ascontiguousarray((ad @ hm).reshape(n, t_len, batch, d)
+                                  .transpose(1, 2, 0, 3)).reshape(-1, d)
+    else:
+        ah = np.matmul(ad, hn).reshape(-1, d)       # T*B products A H_t in one call
     pre = (ah @ w1).reshape(h.shape)
     pre[1:] += h[:-1] @ w2                           # H_0 = 0: step 0 has no history term
     r = np.maximum(pre, 0.0).reshape(-1, d)

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from ganf import cli, parallel
 from ganf.cli import main, read_scores_csv
-from ganf.data import DataError, SynthSpec, load_csv, write_series_csv
+from ganf.data import DataError, SynthSpec, load_csv, make_windows, write_series_csv
+from ganf.encoder import NODE_MAJOR_MIN_N
 from ganf.model import GanfModel
 from ganf.parallel import blas_threads
-from ganf.tensor import NumericError
+from ganf.tensor import GradientTape, NumericError
 from ganf.training import checkpoint_load, checkpoint_save
+from test_model import _perturb
 from test_training import poison_adjacency
 
 
@@ -118,6 +120,16 @@ def test_synth_malformed_spec_exit_2(runner, tmp_path, fields, length):
     res = runner.invoke(main, ["synth", "--spec", str(tmp_path / "spec.json"),
                                "--out", str(tmp_path / "out"), "--length", length])
     assert res.exit_code == 2, res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-12"])
+def test_synth_negative_seed_exit_2(runner, tmp_path, seed):
+    _write_spec(tmp_path / "spec.json")
+    res = runner.invoke(main, ["synth", "--spec", str(tmp_path / "spec.json"),
+                               "--out", str(tmp_path / "out"), "--seed", seed])
+    assert res.exit_code == 2, res.output
+    assert "--seed" in res.output
     assert not (tmp_path / "out").exists()
 
 
@@ -413,6 +425,20 @@ def test_eval_malformed_file_exit_2(runner, tmp_path, name, text):
     assert f"{name}.csv: line 2" in res.output
 
 
+@pytest.mark.parametrize("args", [["--bins", "0"], ["--bins", "-3"],
+                                  ["--sigma", "0"], ["--sigma", "-1"], ["--sigma", "nan"],
+                                  ["--sigma", "inf"]])
+def test_eval_malformed_option_exit_2(runner, tmp_path, args):
+    (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n10,2.0\n")
+    (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n10,1\n")
+    res = runner.invoke(main, ["eval", "--scores", str(tmp_path / "scores.csv"),
+                               "--labels", str(tmp_path / "labels.csv"),
+                               "--smooth", *args, "--out", str(tmp_path / "e")])
+    assert res.exit_code == 2, res.output
+    assert args[0] in res.output
+    assert not (tmp_path / "e").exists()
+
+
 _score_cell = st.one_of(st.text(max_size=6), st.floats().map(repr),
                         st.integers(-10**20, 10**20).map(str))
 
@@ -456,6 +482,15 @@ def test_export_graph_huge_epsilon_empty(runner, trained_dir, tmp_path):
     assert graph["edges"] == [] and graph["acyclic"]
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf", "-inf"])
+def test_export_graph_malformed_epsilon_exit_2(runner, trained_dir, tmp_path, epsilon):
+    res = runner.invoke(main, ["export-graph", str(trained_dir / "checkpoint.ganf"),
+                               "--epsilon", epsilon, "--out", str(tmp_path / "g")])
+    assert res.exit_code == 2, res.output
+    assert "--epsilon" in res.output
+    assert not (tmp_path / "g").exists()
+
+
 def test_export_graph_multiple_writes_weight_matrix(runner, trained_dir, tmp_path):
     ckpt = str(trained_dir / "checkpoint.ganf")
     res = runner.invoke(main, ["export-graph", ckpt, ckpt,
@@ -487,6 +522,15 @@ def test_bench_bad_grid_exit_2(runner, tmp_path):
 def test_bench_nonpositive_size_exit_2(runner, tmp_path, args):
     res = runner.invoke(main, ["bench", *args, "--out", str(tmp_path)])
     assert res.exit_code == 2, res.output
+    assert not (tmp_path / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-12"])
+def test_bench_negative_seed_exit_2(runner, tmp_path, seed):
+    res = runner.invoke(main, ["bench", "--grid", "2,4", "--iters", "1", "--seed", seed,
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "--seed" in res.output
     assert not (tmp_path / "resolved_config.json").exists()
 
 
@@ -656,6 +700,43 @@ def test_score_pools_on_a_wide_graph(runner, tmp_path, monkeypatch):
     assert summary["n_windows"] == 21
     assert summary["batch_windows"] == model.score_batch_size(21, 20) == 5
     assert summary["workers"] == 2
+
+
+def test_score_wide_graph_matches_taped_scores_at_any_thread_count(runner, tmp_path,
+                                                                   monkeypatch):
+    """At n >= NODE_MAJOR_MIN_N ``ganf score`` aggregates node-major, with the taped bytes.
+
+    30 steps of 10-step windows make 21 windows in four batches of 6, so two
+    threads pool. Each run writes the same bytes, and the scores equal those
+    of a pass under a tape, which aggregates batch-major. Every weight is
+    perturbed: an untrained flow's zero output layer would ignore the
+    aggregation.
+    """
+    n = NODE_MAJOR_MIN_N
+    model = _perturb(GanfModel(n_series=n, input_dim=1, hidden_dim=8, flow_blocks=1,
+                               flow_hidden=8, seed=0))
+    model.adjacency.data += np.random.default_rng(1).normal(size=(n, n)) / n
+    model.remask_diagonal()
+    checkpoint_save(tmp_path / "wide.ganf", model, extra={"window_len": 10})
+    write_series_csv(tmp_path / "wide.csv",
+                     np.random.default_rng(2).normal(size=(n, 30, 1)))
+    assert model.score_batch_size(21, 10) == 6
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GANF_THREADS", threads)
+        res = runner.invoke(main, ["score", "--checkpoint", str(tmp_path / "wide.ganf"),
+                                   "--data", str(tmp_path / "wide.csv"),
+                                   "--out", str(tmp_path / threads)])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((tmp_path / threads / "summary.json").read_text())
+        assert (summary["n_windows"], summary["workers"]) == (21, int(threads))
+    assert (tmp_path / "1" / "scores.csv").read_bytes() == \
+        (tmp_path / "2" / "scores.csv").read_bytes()
+    windows, _ = make_windows(load_csv(tmp_path / "wide.csv")[0], 10, 1)
+    with GradientTape():
+        per_series = -model.per_step_log_prob(windows).data.sum(axis=2)
+    _, totals, got_per_series = read_scores_csv(tmp_path / "1" / "scores.csv")
+    np.testing.assert_array_equal(got_per_series, per_series)
+    np.testing.assert_array_equal(totals, per_series.sum(axis=1))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

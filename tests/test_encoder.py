@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ganf.encoder import (ContractError, EncoderParams, LstmCell,
+from ganf.encoder import (NODE_MAJOR_MIN_N, ContractError, EncoderParams, LstmCell,
                           encode_dependencies, encode_hidden, offdiag_mask)
+from ganf.parallel import _blas_pinned
 from ganf.tensor import GradientTape, ShapeError, Tensor, concat, mul, sum_
 from tape_reference import aggregate, lstm_step, lstm_unroll, tape_grads
 
@@ -222,3 +223,23 @@ def test_hidden_same_with_and_without_tape():
     with GradientTape():
         kept = encode_hidden(cell, x).data
     np.testing.assert_array_equal(encode_hidden(cell, x).data, kept)
+
+
+@pytest.mark.parametrize("n,hidden", [(NODE_MAJOR_MIN_N - 1, 8), (NODE_MAJOR_MIN_N, 8),
+                                      (NODE_MAJOR_MIN_N, 4)])
+def test_dependencies_same_with_and_without_tape(n, hidden):
+    """Node-major without a tape gives the bytes of the taped batch-major pass.
+
+    At width 4 the two orders round differently, so that pass stays batch-major.
+    """
+    cell, enc = _perturbed_encoder(1, hidden, 70)
+    b = 2
+    x = _rng(71).normal(size=(b, n, 3, 1))
+    a = Tensor(_rng(72).normal(size=(n, n)) * offdiag_mask(n) / n, requires_grad=True)
+    hidden_states = encode_hidden(cell, x)
+    with GradientTape():
+        taped = encode_dependencies(enc, hidden_states, a, b, n).data
+    np.testing.assert_array_equal(encode_dependencies(enc, hidden_states, a, b, n).data, taped)
+    with _blas_pinned():    # OpenBLAS at one thread, as in a scoring pool
+        np.testing.assert_array_equal(
+            encode_dependencies(enc, hidden_states, a, b, n).data, taped)
