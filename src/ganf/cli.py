@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import click
 import numpy as np
@@ -142,7 +141,8 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
     window_cfg = {}
     for key, convert, default in (
             ("window_len", int, 20), ("stride", int, cfg.get("window_len", 20)),
-            ("train_frac", float, 0.6), ("val_frac", float, 0.2), ("gap_limit", int, 5)):
+            ("train_frac", float, 0.6), ("val_frac", float, 0.2),
+            ("gap_limit", int, dat.GAP_LIMIT)):
         value = cfg.get(key, default)
         try:
             window_cfg[key] = convert(value)
@@ -167,7 +167,10 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
         model, adjacency, history = train(split.train, split.validation, train_cfg)
     except dat.DataError as exc:
         raise click.UsageError(str(exc))
-    except (NumericError, TrainingAbort) as exc:
+    except TrainingAbort as exc:
+        write_history(out / "history.jsonl", exc.history)
+        _fail(exc)
+    except NumericError as exc:
         _fail(exc)
     checkpoint_save(out / "checkpoint.ganf", model, extra={
         "entities": entities, **window_cfg,
@@ -184,14 +187,17 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
 # ------------------------------------------------------------------- score
 
 def _score_parallel(model: GanfModel, windows: np.ndarray,
-                    workers: int) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
+                    workers: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Score windows on up to ``workers`` threads with ``GanfModel.score_windows``.
 
-    Returns (totals, per-series scores, OpenBLAS threads in effect or None).
+    Returns (totals, per-series scores, the run's ``workers``, ``blas_threads``
+    and ``batch_windows`` as ``ganf score`` records them).
     """
     totals, per_series = model.score_windows(windows, workers=workers)
     batch = model.score_batch_size(len(windows), windows.shape[2])
-    return totals, per_series, blas_threads(pool_size(-(-len(windows) // batch), workers))
+    threads = pool_size(-(-len(windows) // batch), workers)
+    return totals, per_series, {"workers": threads, "blas_threads": blas_threads(threads),
+                                "batch_windows": batch}
 
 
 @main.command("score")
@@ -220,26 +226,28 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
               "blas_threads": None, "batch_windows": None}
     _echo_config(out, config)
     try:
-        series, entities, _ = dat.load_csv(data_csv)
+        series, entities, _ = dat.load_csv(
+            data_csv, gap_limit=int(extra.get("gap_limit", dat.GAP_LIMIT)))
         if len(entities) != model.n_series or series.shape[2] != model.input_dim:
             raise CheckpointError(
                 f"checkpoint adjacency 'A' is {model.n_series}x{model.n_series} with "
                 f"D={model.input_dim}, but data has n={len(entities)}, D={series.shape[2]}")
+        for got, want in zip(entities, extra.get("entities", entities)):
+            if got != want:
+                raise CheckpointError(f"data has entity {got!r} where the checkpoint "
+                                      f"was trained on {want!r}")
         if extra.get("norm_mean"):
             series = dat.NormStats(np.asarray(extra["norm_mean"]),
                                    np.asarray(extra["norm_std"])).apply(series)
         windows, starts = dat.make_windows(series, window_len, stride)
         start = time.perf_counter()
-        totals, per_series, blas_in_effect = _score_parallel(model, windows, workers)
+        totals, per_series, record = _score_parallel(model, windows, workers)
         seconds = time.perf_counter() - start
     except dat.DataError as exc:
         raise click.UsageError(str(exc))
     except (NumericError, CheckpointError) as exc:
         _fail(exc)
-    batch = model.score_batch_size(len(windows), window_len)
-    threads = pool_size(-(-len(windows) // batch), workers)
-    _echo_config(out, {**config, "workers": threads, "blas_threads": blas_in_effect,
-                       "batch_windows": batch})
+    _echo_config(out, {**config, **record})
     with open(out / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_start", "score"]
@@ -248,8 +256,7 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
             writer.writerow([int(s), repr(float(tot))] + [repr(float(v)) for v in row])
     with open(out / "summary.json", "w") as fh:
         json.dump({"n_windows": len(starts), "windows_per_s": len(starts) / seconds,
-                   "workers": threads, "blas_threads": blas_in_effect,
-                   "batch_windows": batch}, fh, indent=2)
+                   **record}, fh, indent=2)
     click.echo(f"wrote {len(starts)} rows to {out / 'scores.csv'}")
 
 

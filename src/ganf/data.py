@@ -74,7 +74,10 @@ def _grid_step(all_ts: np.ndarray) -> tuple[float, float]:
     return step, 2 * noise / step
 
 
-def load_csv(path, gap_limit: int = 5) -> tuple[np.ndarray, list[str], np.ndarray]:
+GAP_LIMIT = 5   # the default longest forward-filled gap, in steps
+
+
+def load_csv(path, gap_limit: int = GAP_LIMIT) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Read a long-format CSV into a dense (n, L, D) array.
 
     Returns (values, entity_ids, timestamps). The grid starts at the
@@ -217,6 +220,11 @@ class DatasetSplit:
 def split_windows(windows: np.ndarray, starts: np.ndarray,
                   train_frac: float = 0.6, val_frac: float = 0.2) -> DatasetSplit:
     """Chronological split; test windows are strictly later than train windows."""
+    # nan fails every comparison, and an infinite fraction fails one of them
+    if not (train_frac > 0 and val_frac >= 0 and train_frac + val_frac <= 1):
+        raise DataError(f"train_frac {train_frac} and val_frac {val_frac} leave no training "
+                        "windows or let them overlap the test windows: need train_frac > 0, "
+                        "val_frac >= 0 and train_frac + val_frac <= 1")
     n = windows.shape[0]
     i1 = int(n * train_frac)
     i2 = int(n * (train_frac + val_frac))

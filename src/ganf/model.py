@@ -201,8 +201,8 @@ class GanfModel:
         byte-identical however the batches are spread over threads. Up to
         ``workers`` threads score (default :func:`ganf.parallel.worker_count`:
         ``GANF_THREADS``, or else every CPU in the process's affinity mask),
-        each taking two batches or more; the calling thread is one of them,
-        and with fewer batches the loop runs on it alone. While several
+        each taking two batches or more, while the calling thread waits;
+        with fewer batches the loop runs on the calling thread. While several
         threads score, OpenBLAS is held at one thread and restored when the
         last finishes. A non-finite log-density raises NumericError naming
         the lowest window that has one, as the serial loop does, and NumPy

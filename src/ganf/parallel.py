@@ -1,9 +1,9 @@
 """Threads for batch scoring: the worker count, the OpenBLAS pin and the pool.
 
 ``GANF_THREADS`` sets how many threads score a stack of windows; by default
-every CPU in the process's affinity mask. While more than one thread scores,
-OpenBLAS is held at one thread, so the scorers do not each start BLAS
-threads on the same cores.
+every CPU in the process's affinity mask. Several score on a thread pool while
+the calling thread waits, with OpenBLAS held at one thread, so the scorers do
+not each start BLAS threads on the same cores.
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import contextvars
 import ctypes
 import functools
 import os
-from threading import Lock, Thread
+from concurrent.futures import ThreadPoolExecutor
+from threading import Lock
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,50 +121,20 @@ def run_tasks(task: Callable[[int], None], n_tasks: int, workers: int):
     """Call ``task(k)`` for every k in ``range(n_tasks)``.
 
     With one thread (see :func:`pool_size`) this is a plain loop on the
-    calling thread. Otherwise the calling thread runs tasks alongside
-    ``threads - 1`` threads started here, all taking the next task in order,
-    with OpenBLAS pinned to one thread until every one of them has finished.
-    After a task raises, no further task starts; the exception raised is
-    the one from the lowest failing task, as the plain loop would raise.
+    calling thread. Otherwise a pool of that many threads runs the tasks in
+    order while the calling thread waits, with OpenBLAS pinned to one thread
+    until the executor has joined every pool thread. Each task runs in a fresh
+    ``contextvars.Context``, so no pool thread records onto the caller's tape.
+    The exception raised is the one from the lowest failing task, as the plain
+    loop would raise, once every lower task has run; tasks not started by
+    then never start, and neither do they after the caller is interrupted.
     """
     threads = pool_size(n_tasks, workers)
     if threads == 1:
         for k in range(n_tasks):
             task(k)
         return
-    lock = Lock()
-    next_task = 0
-    failures: dict[int, Exception] = {}
-
-    def drain():
-        nonlocal next_task
-        while True:
-            with lock:
-                if failures or next_task >= n_tasks:
-                    return
-                k = next_task
-                next_task += 1
-            try:
-                task(k)
-            except Exception as exc:   # handed to the calling thread, raised below
-                with lock:
-                    failures[k] = exc
-
-    started: list[Thread] = []
-    with _blas_pinned():
-        try:
-            for _ in range(threads - 1):
-                # an empty context, also where threads inherit the caller's: no pool
-                # thread records onto the caller's tape
-                worker = Thread(target=contextvars.Context().run, args=(drain,),
-                                name="ganf-score")
-                worker.start()
-                started.append(worker)
-            drain()
-        finally:
-            with lock:
-                next_task = n_tasks   # an interrupted caller stops the rest early
-            for worker in started:
-                worker.join()
-    if failures:
-        raise failures[min(failures)]
+    with _blas_pinned(), ThreadPoolExecutor(threads, thread_name_prefix="ganf-score") as pool:
+        # map yields in task order, and a raise out of it cancels every pending task
+        for _ in pool.map(lambda k: contextvars.Context().run(task, k), range(n_tasks)):
+            pass

@@ -22,7 +22,11 @@ from .tensor import GradientTape, NumericError, Tensor
 
 
 class TrainingAbort(RuntimeError):
-    """Training hit a non-recoverable numeric failure."""
+    """Training hit a non-recoverable numeric failure; ``history`` holds the records so far."""
+
+    def __init__(self, message: str, history: list[dict]):
+        super().__init__(message)
+        self.history = history
 
 
 class CheckpointError(ValueError):
@@ -158,9 +162,7 @@ def inner_optimize(state: TrainState, train_windows: np.ndarray,
                 loss = augmented_lagrangian(nll, model.adjacency, state.lagrangian) \
                     if model.mode == "graph" else nll
             if not np.isfinite(loss.item()):
-                raise TrainingAbort(
-                    f"non-finite loss at epoch {state.epoch}; "
-                    f"best validation snapshot is retained in TrainState.best_arrays")
+                raise TrainingAbort(f"non-finite loss at epoch {state.epoch}", state.history)
             tape.backward(loss)
             epoch_grad_norm += clip_gradients(params, config.grad_clip, config.clip_mode)
             state.optimizer.step(params, state.lr)
@@ -207,8 +209,8 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
 
     Stops when |h(A)| < h_tol or after ``max_outer_iters`` outer iterations
     (the latter flagged in the history). Raises :class:`DataError` when
-    there are no training windows, and :class:`TrainingAbort` when a loss,
-    a log-density or h(A) stops being finite.
+    there are no training windows, and :class:`TrainingAbort`, carrying the
+    history so far, when a loss, a log-density or h(A) stops being finite.
     """
     if train_windows.shape[0] == 0:
         raise DataError("no training windows: the series is too short for the "
@@ -234,7 +236,8 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
         try:
             inner_optimize(state, train_windows, val_windows, config, rng)
         except NumericError as exc:
-            raise TrainingAbort(f"numeric failure at epoch {state.epoch}: {exc}") from exc
+            raise TrainingAbort(f"numeric failure at epoch {state.epoch}: {exc}",
+                                state.history) from exc
         # A has not changed since the last epoch record computed h from it
         h_now = state.history[-1]["h"]
         state.lagrangian = dual_penalty_update(

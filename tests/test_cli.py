@@ -561,6 +561,70 @@ def test_train_non_finite_adjacency_exit_1(runner, synth_dir, tmp_path, monkeypa
     assert not (tmp_path / "t" / "checkpoint.ganf").exists()
 
 
+def test_train_abort_writes_the_history_so_far(runner, synth_dir, tmp_path, monkeypatch):
+    poison_adjacency(monkeypatch, np.inf, epoch=1)
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, inner_epochs=2)))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 1
+    assert "error: numeric failure at epoch 1" in res.output
+    assert "best_arrays" not in res.output
+    history = (tmp_path / "t" / "history.jsonl").read_text().splitlines()
+    assert [(r["kind"], r["epoch"]) for r in map(json.loads, history)] == [("epoch", 0)]
+    assert not (tmp_path / "t" / "checkpoint.ganf").exists()
+
+
+def test_train_overlapping_split_exit_2(runner, synth_dir, tmp_path):
+    cfg = _train_config(synth_dir, train_frac=-0.2, val_frac=0.5)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert "overlap the test windows" in res.output
+    assert not (tmp_path / "t" / "checkpoint.ganf").exists()
+
+
+def _entity_csv(path, entities, gap_entity=None):
+    """60 steps of readings per entity; ``gap_entity`` misses steps 20-26, a 7-step gap."""
+    rng = np.random.default_rng(31)
+    rows = ["timestamp,entity,attr_1"]
+    for e in entities:
+        rows += [f"{t},{e},{rng.normal()!r}" for t in range(60)
+                 if e != gap_entity or not 20 <= t < 27]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def gap_trained(tmp_path_factory):
+    """A checkpoint trained with gap_limit 10 on entities a, b and c, where b has a gap."""
+    root = tmp_path_factory.mktemp("gap")
+    _entity_csv(root / "series.csv", ["a", "b", "c"], gap_entity="b")
+    (root / "config.json").write_text(json.dumps(_train_config(root, gap_limit=10)))
+    res = CliRunner().invoke(main, ["train", "--config", str(root / "config.json"),
+                                    "--out", str(root / "t")])
+    assert res.exit_code == 0, res.output
+    return root
+
+
+def test_score_reads_with_the_checkpoints_gap_limit(runner, gap_trained, tmp_path):
+    res = runner.invoke(main, ["score", "--checkpoint", str(gap_trained / "t" / "checkpoint.ganf"),
+                               "--data", str(gap_trained / "series.csv"),
+                               "--out", str(tmp_path / "s")])
+    assert res.exit_code == 0, res.output
+    starts, totals, _ = read_scores_csv(tmp_path / "s" / "scores.csv")
+    assert starts.size == 51 and np.all(np.isfinite(totals))
+
+
+def test_score_other_entities_exit_1(runner, gap_trained, tmp_path):
+    other = _entity_csv(tmp_path / "other.csv", ["b", "c", "zz"])
+    res = runner.invoke(main, ["score", "--checkpoint", str(gap_trained / "t" / "checkpoint.ganf"),
+                               "--data", str(other), "--out", str(tmp_path / "s")])
+    assert res.exit_code == 1, res.output
+    assert "data has entity 'b' where the checkpoint was trained on 'a'" in res.output
+    assert not (tmp_path / "s" / "scores.csv").exists()
+
+
 def test_threads_env_validation(runner, synth_dir, trained_dir, tmp_path, monkeypatch):
     (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir)))
     commands = {
@@ -606,8 +670,8 @@ def _score_inputs(trained_dir, count=300):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_score_parallel_restores_blas_threads(trained_dir, blas_at_three):
     model, windows = _score_inputs(trained_dir)
-    _, _, in_pool = cli._score_parallel(model, windows, 2)
-    assert in_pool == 1
+    _, _, record = cli._score_parallel(model, windows, 2)
+    assert record["blas_threads"] == 1
     assert blas_threads() == blas_at_three
     windows[7, 0, 3, 0] = np.inf
     with pytest.raises(NumericError):
@@ -644,8 +708,8 @@ def test_score_parallel_without_openblas(trained_dir, monkeypatch):
     model, windows = _score_inputs(trained_dir)
     want_totals, want_per_series = model.score_windows(windows, workers=1)
     monkeypatch.setattr(parallel, "_openblas", lambda: None)
-    totals, per_series, in_effect = cli._score_parallel(model, windows, 2)
-    assert in_effect is None
+    totals, per_series, record = cli._score_parallel(model, windows, 2)
+    assert record["blas_threads"] is None
     np.testing.assert_array_equal(totals, want_totals)
     np.testing.assert_array_equal(per_series, want_per_series)
 

@@ -240,6 +240,25 @@ def test_split_chronological():
     assert split.test_starts.min() > split.train_starts.max()
 
 
+@pytest.mark.parametrize("train_frac, val_frac", [
+    (-0.2, 0.5), (0.6, -0.3), (0.0, 0.2), (0.7, 0.4), (np.nan, 0.2), (0.6, np.nan),
+    (np.inf, 0.0), (0.5, np.inf), (0.5, -np.inf), (-np.inf, 0.5)])
+def test_split_rejects_fractions_that_overlap_or_leave_no_training(train_frac, val_frac):
+    w, starts = make_windows(np.zeros((1, 1000, 1)), 10, 10)
+    with pytest.raises(DataError, match="train_frac > 0, val_frac >= 0"):
+        split_windows(w, starts, train_frac, val_frac)
+
+
+@pytest.mark.parametrize("train_frac, val_frac", [(1.0, 0.0), (0.5, 0.5), (0.3, 0.7),
+                                                  (0.01, 0.0), (0.6, 0.2)])
+def test_split_keeps_test_windows_after_train_windows(train_frac, val_frac):
+    w, starts = make_windows(np.zeros((1, 1000, 1)), 10, 10)
+    split = split_windows(w, starts, train_frac, val_frac)
+    parts = (split.train_starts, split.validation_starts, split.test_starts)
+    np.testing.assert_array_equal(np.concatenate(parts), starts)
+    assert split.train_starts.size == int(100 * train_frac)
+
+
 def test_normalize_statistics():
     rng = np.random.default_rng(1)
     series = rng.normal(3.0, 2.5, size=(2, 200, 1))

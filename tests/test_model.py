@@ -356,7 +356,11 @@ def test_one_window_non_finite_raises_without_warnings(scorer):
     ([2], "caller", 2), ([6], "pool", 6), ([2, 6], "caller", 2), ([6, 13], "pool", 6)])
 def test_pooled_numeric_error_is_the_serial_one(monkeypatch, blas_at_three,
                                                 value, bad, scorer, named):
-    """The caller scores batch 0 and the pool thread batch 1; either may hold the bad window."""
+    """Two pool threads score batches 0 and 1 at once; either batch may hold the bad window.
+
+    In the ids, ``caller`` is the thread that takes batch 0, which holds it
+    until another thread, ``pool``, has taken batch 1.
+    """
     model = _scorer()
     windows = np.random.default_rng(22).normal(size=(16, 3, 4, 2))
     windows[bad, 1, 2, 0] = value
@@ -364,25 +368,22 @@ def test_pooled_numeric_error_is_the_serial_one(monkeypatch, blas_at_three,
         model.score_windows(windows, batch_size=4, workers=1)
     assert f"in window {named}," in str(serial.value)
 
-    caller = threading.get_ident()
-    caller_in, pool_in = threading.Event(), threading.Event()
-    failed_on, blas_seen = set(), set()
+    first_in, second_in = threading.Event(), threading.Event()
+    failed_on, blas_seen, taken_by = set(), set(), {}
     get_blas = ganf.parallel._openblas()[0]
     score = model.per_step_log_prob
 
-    class LateThread(threading.Thread):
-        def run(self):
-            caller_in.wait(10)   # the caller takes batch 0 first
-            super().run()
-
     def placed(x):
+        k = next(k for k in range(4) if np.shares_memory(x, windows[4 * k:4 * k + 4]))
+        taken_by[k] = threading.current_thread().name
         blas_seen.add(get_blas())
-        here = "caller" if threading.get_ident() == caller else "pool"
-        if here == "caller" and not caller_in.is_set():
-            caller_in.set()
-            pool_in.wait(10)     # ... and holds it until the pool has taken batch 1
-        elif here == "pool":
-            pool_in.set()
+        here = {0: "caller", 1: "pool"}.get(k, "later")
+        if k == 0:
+            first_in.set()
+            second_in.wait(10)   # hold batch 0 until another thread has taken batch 1
+        elif k == 1:
+            first_in.wait(10)
+            second_in.set()
         try:
             out = score(x)
         except NumericError:
@@ -392,7 +393,6 @@ def test_pooled_numeric_error_is_the_serial_one(monkeypatch, blas_at_three,
             failed_on.add(here)
         return out
 
-    monkeypatch.setattr(ganf.parallel, "Thread", LateThread)
     monkeypatch.setattr(model, "per_step_log_prob", placed)
     with pytest.raises(NumericError) as pooled:
         model.score_windows(windows, batch_size=4, workers=2)
@@ -400,4 +400,5 @@ def test_pooled_numeric_error_is_the_serial_one(monkeypatch, blas_at_three,
     assert scorer in failed_on
     assert blas_seen == {1}
     assert get_blas() == blas_at_three
-    assert not any(t.name == "ganf-score" for t in threading.enumerate())
+    assert taken_by[0] != taken_by[1] and taken_by[0].startswith("ganf-score")
+    assert not any(t.name.startswith("ganf-score") for t in threading.enumerate())

@@ -1,6 +1,8 @@
+import contextvars
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -45,6 +47,37 @@ def test_run_tasks_raises_the_lowest_failure_after_every_lower_task_ran():
         parallel.run_tasks(task, 20, 3)
     assert err.value.args == (7,)
     assert set(range(8)) <= ran
+
+
+def test_run_tasks_starts_few_tasks_after_the_first_one_raises():
+    """Tasks not started when task 0's failure reaches the caller never start."""
+    started = []
+
+    def task(k):
+        started.append(k)
+        if k == 0:
+            raise KeyError(k)
+        time.sleep(0.05)
+
+    with pytest.raises(KeyError):
+        parallel.run_tasks(task, 40, 2)
+    assert 0 in started and len(started) < 10, started
+    assert not any(t.name.startswith("ganf-score") for t in threading.enumerate())
+
+
+def test_run_tasks_runs_each_task_in_a_fresh_context():
+    """No pool task sees a context variable (such as the active tape) set by the
+    caller or by an earlier task on its thread."""
+    var = contextvars.ContextVar("var", default=None)
+    var.set("caller")
+    seen = []
+
+    def task(k):
+        seen.append(var.get())
+        var.set(k)
+
+    parallel.run_tasks(task, 20, 2)
+    assert seen == [None] * 20
 
 
 def test_blas_pin_is_shared_and_the_last_holder_restores(blas_at_three):

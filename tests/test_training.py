@@ -361,13 +361,16 @@ def test_train_computes_one_exponential_per_distinct_adjacency(monkeypatch):
     assert len(calls) == config.inner_epochs * batches + 1
 
 
-def poison_adjacency(monkeypatch, value):
-    """Set one entry of A to ``value`` just before the first epoch record takes h(A)."""
+def poison_adjacency(monkeypatch, value, epoch=0):
+    """Set one entry of A to ``value`` just before epoch ``epoch``'s record takes h(A)."""
     validate = ganf.training._validation_log_density
+    calls = []
 
     def poisoned(model, windows):
         out = validate(model, windows)
-        model.adjacency.data[0, 1] = value
+        if len(calls) == epoch:
+            model.adjacency.data[0, 1] = value
+        calls.append(epoch)
         return out
 
     monkeypatch.setattr(ganf.training, "_validation_log_density", poisoned)
