@@ -9,7 +9,6 @@ directory so runs are reproducible from the echo plus the seed. Exit codes:
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -27,8 +26,7 @@ from .model import MODES, GanfModel
 from .parallel import blas_threads, pool_size, worker_count
 from .tensor import GradientTape, NumericError
 from .training import (Adam, CheckpointError, TrainConfig, TrainingAbort,
-                       checkpoint_load, checkpoint_save, clip_gradients,
-                       train, write_history)
+                       checkpoint_load, checkpoint_save, clip_gradients, train)
 
 
 def _worker_count() -> int:
@@ -156,27 +154,29 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
     except (ValueError, TypeError) as exc:
         raise click.UsageError(f"bad training config: {exc}")
     out = Path(out_dir)
-    _echo_config(out, {**cfg, **window_cfg, "command": "train",
-                       "blas_threads": blas_threads()})
     try:
         series, entities, _ = dat.load_csv(data_csv, gap_limit=window_cfg["gap_limit"])
         windows, starts = dat.make_windows(series, window_cfg["window_len"],
                                            window_cfg["stride"])
         split = dat.normalize(dat.split_windows(
             windows, starts, window_cfg["train_frac"], window_cfg["val_frac"]))
-        model, adjacency, history = train(split.train, split.validation, train_cfg)
     except dat.DataError as exc:
         raise click.UsageError(str(exc))
-    except TrainingAbort as exc:
-        write_history(out / "history.jsonl", exc.history)
-        _fail(exc)
-    except NumericError as exc:
-        _fail(exc)
+    _echo_config(out, {**cfg, **window_cfg, "command": "train",
+                       "blas_threads": blas_threads()})
+    # each record is on disk as soon as it is made, so a run can be watched and
+    # an aborted one keeps the records up to its failing epoch
+    with open(out / "history.jsonl", "w") as fh:
+        try:
+            model, adjacency, history = train(
+                split.train, split.validation, train_cfg,
+                on_record=lambda record: print(json.dumps(record), file=fh, flush=True))
+        except (TrainingAbort, NumericError) as exc:
+            _fail(exc)
     checkpoint_save(out / "checkpoint.ganf", model, extra={
         "entities": entities, **window_cfg,
         "norm_mean": split.stats.mean.tolist(), "norm_std": split.stats.std.tolist(),
     })
-    write_history(out / "history.jsonl", history)
     final = history[-1]
     if final.get("warning"):
         click.echo(f"warning: {final['warning']}")
@@ -248,12 +248,10 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
     except (NumericError, CheckpointError) as exc:
         _fail(exc)
     _echo_config(out, {**config, **record})
-    with open(out / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "score"]
-                        + [f"series_{i}" for i in range(per_series.shape[1])])
-        for s, tot, row in zip(starts, totals, per_series):
-            writer.writerow([int(s), repr(float(tot))] + [repr(float(v)) for v in row])
+    dat.write_csv(out / "scores.csv",
+                  ["window_start", "score"] + [f"series_{i}" for i in range(per_series.shape[1])],
+                  ([s, tot, *row] for s, tot, row in zip(starts.tolist(), totals.tolist(),
+                                                         per_series.tolist())))
     with open(out / "summary.json", "w") as fh:
         json.dump({"n_windows": len(starts), "windows_per_s": len(starts) / seconds,
                    **record}, fh, indent=2)
@@ -306,7 +304,8 @@ def cmd_eval(scores_path, labels_path, smooth, sigma, bins, out_dir):
     except met.UndefinedAucError as exc:
         _fail(exc)
     counts, edges = met.density_histogram(scores, bins=bins)
-    met.write_histogram_csv(out / "histogram.csv", counts, edges)
+    dat.write_csv(out / "histogram.csv", ["bin_lo", "bin_hi", "count"],
+                  zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     report = {
         "auc": roc.auc, "n_windows": len(scores),
         "positive_mass": float(np.sum(probs)),
@@ -360,11 +359,8 @@ def cmd_export_graph(checkpoints, epsilon, out_dir):
         _fail(exc)
     if len(checkpoints) > 1:
         union = sorted(set().union(*all_edges))
-        with open(out / "edge_weights.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["checkpoint"] + [f"{j}->{i}" for j, i in union])
-            for k, a in enumerate(matrices):
-                writer.writerow([k] + [repr(float(a[i, j])) for j, i in union])
+        dat.write_csv(out / "edge_weights.csv", ["checkpoint"] + [f"{j}->{i}" for j, i in union],
+                      ([k] + [a[i, j] for j, i in union] for k, a in enumerate(matrices)))
     click.echo(f"exported {len(checkpoints)} graph(s) to {out}")
 
 
@@ -391,15 +387,9 @@ def cmd_bench(grid, batch, attrs, hidden, iters, seed, out_dir):
     _echo_config(out, {"command": "bench", "grid": grid, "batch": batch,
                        "attrs": attrs, "hidden": hidden, "iters": iters, "seed": seed,
                        "blas_threads": blas_threads()})
-    rows = []
-    for n, t_len in cells:
-        rows.append((n, t_len, bench_iteration(n, t_len, batch, attrs, hidden,
-                                               iters, seed)))
-    with open(out / "bench.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "T", "seconds_per_iter"])
-        for n, t_len, secs in rows:
-            writer.writerow([n, t_len, repr(secs)])
+    rows = [(n, t_len, bench_iteration(n, t_len, batch, attrs, hidden, iters, seed))
+            for n, t_len in cells]
+    dat.write_csv(out / "bench.csv", ["n", "T", "seconds_per_iter"], rows)
     for n, t_len, secs in rows:
         click.echo(f"n={n:4d} T={t_len:4d}  {secs * 1e3:8.2f} ms/iter")
 

@@ -50,11 +50,16 @@ def acyclicity(a: np.ndarray) -> float:
     return max(float(np.trace(_exp_squared(a)) - a.shape[0]), 0.0)
 
 
+def _grad_from_exp(e: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The gradient of h at A, E^T o 2A, from E = e^{A o A}."""
+    return e.T * (2.0 * a)
+
+
 def acyclicity_grad(a: np.ndarray) -> np.ndarray:
     """Closed-form gradient (e^{A o A})^T o 2A."""
     a = np.asarray(a, dtype=np.float64)
     _check_square(a, "acyclicity_grad")
-    return _exp_squared(a).T * (2.0 * a)
+    return _grad_from_exp(_exp_squared(a), a)
 
 
 def acyclicity_tensor(a: Tensor) -> Tensor:
@@ -62,7 +67,7 @@ def acyclicity_tensor(a: Tensor) -> Tensor:
     ad = a.data
     _check_square(ad, "acyclicity_tensor")
     e = _exp_squared(ad)
-    return _emit([a], np.trace(e) - ad.shape[0], lambda g: (g * (e.T * (2.0 * ad)),))
+    return _emit([a], np.trace(e) - ad.shape[0], lambda g: (g * _grad_from_exp(e, ad),))
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,12 @@ def augmented_lagrangian(nll: Tensor, a: Tensor, state: LagrangianState) -> Tens
     if state.c != 0.0:
         out = out + mul(Tensor(0.5 * state.c), mul(h, h))
     return out
+
+
+# ``train`` stops once the next c would pass this, as NOTEARS caps c at rho_max
+# (Zheng et al., arXiv:1803.01422); the default-size runs measured peak at
+# c = 1e14-1e17
+PENALTY_CAP = 1e20
 
 
 def dual_penalty_update(state: LagrangianState, h_now: float,

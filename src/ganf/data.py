@@ -468,24 +468,27 @@ def inject_series_anomalies(series: np.ndarray, starts: np.ndarray,
 
 # ---------------------------------------------------------------- CSV export
 
-def write_series_csv(path, series: np.ndarray, entity_ids: Optional[list[str]] = None):
-    n, length, d = series.shape
-    if entity_ids is None:
-        entity_ids = [f"node{i}" for i in range(n)]
+def write_csv(path, header: list[str], rows):
+    """Write a CSV table: ganf writes every table through here. A float cell is
+    written as ``repr(float(v))``, its shortest round-trip form, never as a NumPy
+    repr such as ``np.float64(0.1)``; ints and strings pass through."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", "entity"] + [f"attr_{k + 1}" for k in range(d)])
-        for i, ent in enumerate(entity_ids):
-            for t in range(length):
-                writer.writerow([t, ent] + [repr(float(v)) for v in series[i, t]])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def write_series_csv(path, series: np.ndarray, entity_ids: Optional[list[str]] = None):
+    entities = [f"node{i}" for i in range(len(series))] if entity_ids is None else entity_ids
+    write_csv(path, ["timestamp", "entity"] + [f"attr_{k + 1}" for k in range(series.shape[2])],
+              ([t, ent, *values] for ent, steps in zip(entities, series.astype(float).tolist())
+               for t, values in enumerate(steps)))
 
 
 def write_labels_csv(path, starts: np.ndarray, labels: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "label"])
-        for s, lab in zip(starts, labels):
-            writer.writerow([int(s), int(lab)])
+    write_csv(path, ["window_start", "label"],
+              zip(*np.asarray([starts, labels], dtype=np.int64).tolist()))
 
 
 def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,6 @@ variants), structural Hamming distance, and score histograms.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +84,3 @@ def density_histogram(scores: np.ndarray, bins: int = 50) -> tuple[np.ndarray, n
         raise ValueError(f"bins must be >= 1, got {bins}")
     return np.histogram(np.asarray(scores, dtype=np.float64), bins=bins)
 
-
-def write_histogram_csv(path, counts: np.ndarray, edges: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([repr(float(lo)), repr(float(hi)), int(c)])

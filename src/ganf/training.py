@@ -9,11 +9,11 @@ import math
 import struct
 import time
 from dataclasses import dataclass, asdict, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .dag import (LagrangianState, acyclicity, augmented_lagrangian,
+from .dag import (PENALTY_CAP, LagrangianState, acyclicity, augmented_lagrangian,
                   dual_penalty_update)
 from .data import DataError
 from .flow import FLOW_KINDS
@@ -131,6 +131,13 @@ class TrainState:
     stale_epochs: int = 0
     epoch: int = 0
     history: list[dict] = field(default_factory=list)
+    on_record: Optional[Callable[[dict], None]] = None
+
+    def log(self, record: dict):
+        """Append ``record`` to the history and hand it to ``on_record``."""
+        self.history.append(record)
+        if self.on_record is not None:
+            self.on_record(record)
 
 
 def _validation_log_density(model: GanfModel, windows: np.ndarray) -> float:
@@ -198,19 +205,22 @@ def inner_optimize(state: TrainState, train_windows: np.ndarray,
                 state.lr *= config.lr_decay
                 state.stale_epochs = 0
                 record["lr_decayed_to"] = state.lr
-        state.history.append(record)
+        state.log(record)
         state.epoch += 1
     return state
 
 
-def train(train_windows: np.ndarray, val_windows: np.ndarray,
-          config: TrainConfig) -> tuple[GanfModel, np.ndarray, list[dict]]:
+def train(train_windows: np.ndarray, val_windows: np.ndarray, config: TrainConfig,
+          on_record: Optional[Callable[[dict], None]] = None,
+          ) -> tuple[GanfModel, np.ndarray, list[dict]]:
     """Full outer loop; returns (best model, adjacency, history).
 
-    Stops when |h(A)| < h_tol or after ``max_outer_iters`` outer iterations
-    (the latter flagged in the history). Raises :class:`DataError` when
-    there are no training windows, and :class:`TrainingAbort`, carrying the
-    history so far, when a loss, a log-density or h(A) stops being finite.
+    Stops when |h(A)| < h_tol, after ``max_outer_iters`` outer iterations, or
+    when the penalty c would exceed ``dag.PENALTY_CAP`` (the last two flagged
+    in the final record's warning). ``on_record``, if given, receives each
+    history record as it is made. Raises :class:`DataError` when there are no
+    training windows, and :class:`TrainingAbort`, carrying the history so
+    far, when a loss, a log-density or h(A) stops being finite.
     """
     if train_windows.shape[0] == 0:
         raise DataError("no training windows: the series is too short for the "
@@ -223,7 +233,7 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
         flow_blocks=config.flow_blocks, flow_hidden=config.flow_hidden,
         flow_type=config.flow_type, mode=config.mode, seed=config.seed)
     state = TrainState(model=model, lagrangian=LagrangianState.initial(rng),
-                       optimizer=Adam(), lr=config.lr)
+                       optimizer=Adam(), lr=config.lr, on_record=on_record)
     if model.mode != "graph":
         state.lagrangian = LagrangianState(lam=0.0, c=0.0)
 
@@ -242,7 +252,7 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
         h_now = state.history[-1]["h"]
         state.lagrangian = dual_penalty_update(
             state.lagrangian, h_now, eta=config.eta, gamma=config.gamma)
-        state.history.append({
+        state.log({
             "kind": "outer", "outer": state.lagrangian.k, "h": h_now,
             "lambda": state.lagrangian.lam, "c": state.lagrangian.c,
             "wall_s": time.perf_counter() - start,
@@ -250,14 +260,18 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray,
         if abs(h_now) < config.h_tol:
             converged = True
             break
+        if state.lagrangian.c > PENALTY_CAP:
+            break
 
     if state.best_arrays is not None:
         _load_arrays(model, state.best_arrays)
     final_h = acyclicity(model.adjacency.data)
-    state.history.append({
-        "kind": "final", "converged": converged or abs(final_h) < config.h_tol,
-        "warning": None if converged or abs(final_h) < config.h_tol
-        else f"outer budget exhausted with |h|={abs(final_h):.3e}",
+    feasible = converged or abs(final_h) < config.h_tol
+    stop = (f"penalty c would exceed its cap {PENALTY_CAP:.0e}"
+            if state.lagrangian.c > PENALTY_CAP else "outer budget exhausted")
+    state.log({
+        "kind": "final", "converged": feasible,
+        "warning": None if feasible else f"{stop} with |h|={abs(final_h):.3e}",
         "h": final_h, "best_val_log_density": state.best_val,
     })
     return model, model.adjacency.data.copy(), state.history
@@ -371,9 +385,3 @@ def checkpoint_load(path) -> GanfModel:
     model.checkpoint_extra = header.get("extra", {})
     return model
 
-
-def write_history(path, history: list[dict]):
-    """Line-delimited JSON records."""
-    with open(path, "w") as fh:
-        for record in history:
-            fh.write(json.dumps(record) + "\n")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from ganf import cli, parallel
 from ganf.cli import main, read_scores_csv
-from ganf.data import DataError, SynthSpec, load_csv, make_windows, write_series_csv
+from ganf.data import (DataError, SynthSpec, load_csv, make_windows, write_csv,
+                       write_labels_csv, write_series_csv)
 from ganf.encoder import NODE_MAJOR_MIN_N
 from ganf.model import GanfModel
 from ganf.parallel import blas_threads
@@ -156,7 +158,7 @@ def test_train_outputs(trained_dir):
         assert (trained_dir / name).exists(), name
     history = [json.loads(l) for l in
                (trained_dir / "history.jsonl").read_text().splitlines()]
-    assert history[-1]["kind"] == "final"
+    assert [r["kind"] for r in history] == ["epoch", "outer", "final"]
 
 
 def test_train_missing_data_path_exit_2(runner, tmp_path):
@@ -541,6 +543,82 @@ def test_bench_records_blas_threads(runner, tmp_path, blas_at_three):
     assert json.loads((tmp_path / "resolved_config.json").read_text())["blas_threads"] == 3
 
 
+# Every table is written by data.write_csv: csv's "\r\n" line ends, and each
+# float as its shortest round-trip repr, here 0.1, -0.0, 1e-300 and 1e16.
+
+def _series_table(runner, trained_dir, tmp_path, monkeypatch):
+    write_series_csv(tmp_path / "series.csv",
+                     np.array([[[0.1, -0.0]], [[1e-300, 1e16]]]), ["a", "b"])
+    return tmp_path / "series.csv", ["timestamp,entity,attr_1,attr_2",
+                                     "0,a,0.1,-0.0", "0,b,1e-300,1e+16"]
+
+
+def _labels_table(runner, trained_dir, tmp_path, monkeypatch):
+    write_labels_csv(tmp_path / "labels.csv", np.array([0, 5]), np.array([0, 1]))
+    return tmp_path / "labels.csv", ["window_start,label", "0,0", "5,1"]
+
+
+def _scores_table(runner, trained_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_score_parallel", lambda model, windows, workers: (
+        np.array([0.1, 1e16]), np.array([[-0.0, 1e-300], [1e16, 0.1]]),
+        {"workers": 1, "blas_threads": 1, "batch_windows": 2}))
+    data = tmp_path / "data.csv"
+    write_series_csv(data, np.zeros((2, 600, 1)), ["node0", "node1"])
+    res = runner.invoke(main, ["score", "--checkpoint", str(trained_dir / "checkpoint.ganf"),
+                               "--data", str(data), "--stride", "300", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    return tmp_path / "scores.csv", ["window_start,score,series_0,series_1",
+                                     "0,0.1,-0.0,1e-300", "300,1e+16,1e+16,0.1"]
+
+
+def _histogram_table(runner, trained_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.met, "density_histogram", lambda scores, bins: (
+        np.array([3, 0, 1]), np.array([-0.0, 1e-300, 0.1, 1e16])))
+    (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n1,2.0\n")
+    (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n1,1\n")
+    res = runner.invoke(main, ["eval", "--scores", str(tmp_path / "scores.csv"),
+                               "--labels", str(tmp_path / "labels.csv"), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    return tmp_path / "histogram.csv", ["bin_lo,bin_hi,count", "-0.0,1e-300,3",
+                                        "1e-300,0.1,0", "0.1,1e+16,1"]
+
+
+def _edge_weights_table(runner, trained_dir, tmp_path, monkeypatch):
+    adjacency = {"0.ganf": [[0.0, 0.1], [1e16, 0.0]], "1.ganf": [[0.0, -0.0], [1e-300, 0.0]]}
+    monkeypatch.setattr(cli, "checkpoint_load", lambda path: types.SimpleNamespace(
+        adjacency=types.SimpleNamespace(data=np.array(adjacency[Path(path).name]))))
+    for name in adjacency:
+        (tmp_path / name).touch()
+    res = runner.invoke(main, ["export-graph", str(tmp_path / "0.ganf"), str(tmp_path / "1.ganf"),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    return tmp_path / "edge_weights.csv", ["checkpoint,0->1,1->0", "0,1e+16,0.1",
+                                           "1,1e-300,-0.0"]
+
+
+def _bench_table(runner, trained_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "bench_iteration", lambda n, *rest: {2: 0.1, 3: 1e16}[n])
+    res = runner.invoke(main, ["bench", "--grid", "2,4;3,5", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    return tmp_path / "bench.csv", ["n,T,seconds_per_iter", "2,4,0.1", "3,5,1e+16"]
+
+
+def _numpy_cells_table(runner, trained_dir, tmp_path, monkeypatch):
+    write_csv(tmp_path / "t.csv", ["f", "z", "tiny", "big", "i"],
+              [[np.float64(0.1), np.float64(-0.0), np.float64(1e-300), np.float64(1e16),
+                np.int64(7)]])
+    return tmp_path / "t.csv", ["f,z,tiny,big,i", "0.1,-0.0,1e-300,1e+16,7"]
+
+
+@pytest.mark.parametrize("table", [_series_table, _labels_table, _scores_table,
+                                   _histogram_table, _edge_weights_table, _bench_table,
+                                   _numpy_cells_table], ids=lambda f: f.__name__[1:-6])
+def test_every_table_writes_floats_as_their_shortest_repr(runner, trained_dir, tmp_path,
+                                                          monkeypatch, table):
+    path, lines = table(runner, trained_dir, tmp_path, monkeypatch)
+    assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+
 def test_train_records_blas_threads(runner, synth_dir, tmp_path, blas_at_three):
     (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir)))
     res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
@@ -582,6 +660,7 @@ def test_train_overlapping_split_exit_2(runner, synth_dir, tmp_path):
     assert res.exit_code == 2, res.output
     assert "overlap the test windows" in res.output
     assert not (tmp_path / "t" / "checkpoint.ganf").exists()
+    assert not (tmp_path / "t" / "resolved_config.json").exists()
 
 
 def _entity_csv(path, entities, gap_entity=None):

@@ -3,8 +3,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 import pytest
 
+from ganf.data import write_csv
 from ganf.metrics import (RocResult, UndefinedAucError, density_histogram,
-                          roc_auc, shd, smooth_labels, write_histogram_csv)
+                          roc_auc, shd, smooth_labels)
 
 
 def test_smooth_labels_peak():
@@ -144,12 +145,15 @@ def test_histogram_bins_validation():
 def test_histogram_csv_round_trip(tmp_path):
     counts, edges = density_histogram(np.arange(10.0), bins=5)
     path = tmp_path / "hist.csv"
-    write_histogram_csv(path, counts, edges)
+    write_csv(path, ["bin_lo", "bin_hi", "count"], zip(edges[:-1], edges[1:], counts))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
     assert len(lines) == 6
     got = sum(int(line.split(",")[2]) for line in lines[1:])
     assert got == 10
+    # NumPy floats are written as their shortest round-trip repr
+    assert [float(line.split(",")[0]) for line in lines[1:]] == edges[:-1].tolist()
+    assert lines[1] == "0.0,1.8,2"
 
 @given(st.lists(st.floats(-50, 50), min_size=4, max_size=60),
        st.floats(0.1, 20))

@@ -17,7 +17,7 @@ from ganf.tensor import GradientTape, Tensor
 import ganf.training
 from ganf.training import (Adam, CheckpointError, TrainConfig, TrainingAbort, TrainState,
                            _config_hash, checkpoint_load, checkpoint_save,
-                           clip_gradients, inner_optimize, train, write_history)
+                           clip_gradients, inner_optimize, train)
 from ganf.dag import LagrangianState
 
 
@@ -392,9 +392,41 @@ def test_non_finite_training_window_aborts_training():
         train(split.train, split.validation, _tiny_config())
 
 
-def test_write_history_jsonl(tmp_path):
-    history = [{"kind": "epoch", "epoch": 0}, {"kind": "final", "converged": True}]
-    path = tmp_path / "history.jsonl"
-    write_history(path, history)
-    lines = path.read_text().strip().splitlines()
-    assert [json.loads(l) for l in lines] == history
+class _Seen(Exception):
+    pass
+
+
+def test_train_hands_each_record_to_on_record_as_it_is_made():
+    split = _tiny_split()
+    seen = []
+
+    def stop_at_first(record):
+        seen.append(dict(record))
+        raise _Seen
+
+    with pytest.raises(_Seen):
+        train(split.train, split.validation, _tiny_config(), on_record=stop_at_first)
+    assert [(r["kind"], r["epoch"]) for r in seen] == [("epoch", 0)]
+    # a full run hands over every record, in history order
+    _, _, history = train(split.train, split.validation, _tiny_config(),
+                          on_record=seen.append)
+    assert seen[1:] == history
+    assert [r["kind"] for r in history][-2:] == ["outer", "final"]
+
+
+def test_penalty_cap_ends_the_outer_loop_with_a_warning():
+    # four Adam steps per outer iteration (two epochs of two batches) stall
+    # h(A) for many outers, so c grows by eta until the cap stops the loop
+    spec = SynthSpec(n_series=5, edge_prob=0.3, rho=0.5)
+    series, _ = synth_generate(spec, 2000, seed=0)
+    split = normalize(split_windows(*make_windows(series, 20, 20)))
+    assert len(split.train) == 60
+    config = TrainConfig(inner_epochs=2, max_outer_iters=40)
+    _, _, history = train(split.train, split.validation, config)
+    outers = [r for r in history if r["kind"] == "outer"]
+    assert len(outers) < config.max_outer_iters
+    assert outers[-1]["c"] > ganf.dag.PENALTY_CAP >= outers[-2]["c"]
+    final = history[-1]
+    assert not final["converged"]
+    assert final["warning"] == (f"penalty c would exceed its cap 1e+20 with "
+                                f"|h|={abs(final['h']):.3e}")
