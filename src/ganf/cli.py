@@ -24,9 +24,9 @@ from . import metrics as met
 from .dag import threshold_dag
 from .model import MODES, GanfModel
 from .parallel import blas_threads, pool_size, worker_count
-from .tensor import GradientTape, NumericError
+from .tensor import NumericError
 from .training import (Adam, CheckpointError, TrainConfig, TrainingAbort,
-                       checkpoint_load, checkpoint_save, clip_gradients, train)
+                       checkpoint_load, checkpoint_save, train, train_step)
 
 
 def _worker_count() -> int:
@@ -60,6 +60,7 @@ def _finite(ctx, param, value):
 
 
 _POSITIVE = click.FloatRange(min=0.0, min_open=True)
+_INPUT = click.Path(exists=True, dir_okay=False)   # a missing path or a directory exits 2
 
 
 def _fail(exc: Exception):
@@ -201,17 +202,13 @@ def _score_parallel(model: GanfModel, windows: np.ndarray,
 
 
 @main.command("score")
-@click.option("--checkpoint", "ckpt_path", required=True, type=click.Path())
-@click.option("--data", "data_csv", required=True, type=click.Path())
+@click.option("--checkpoint", "ckpt_path", required=True, type=_INPUT)
+@click.option("--data", "data_csv", required=True, type=_INPUT)
 @click.option("--window-len", type=click.IntRange(min=1), default=None)
 @click.option("--stride", type=click.IntRange(min=1), default=1)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
     """Score every window of a dataset with a trained checkpoint."""
-    if not os.path.exists(ckpt_path):
-        raise click.UsageError(f"--checkpoint path does not exist: {ckpt_path}")
-    if not os.path.exists(data_csv):
-        raise click.UsageError(f"--data path does not exist: {data_csv}")
     try:
         model = checkpoint_load(ckpt_path)
     except CheckpointError as exc:
@@ -219,12 +216,7 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
     extra = model.checkpoint_extra
     if window_len is None:
         window_len = int(extra.get("window_len", 20))
-    out = Path(out_dir)
     workers = _worker_count()
-    config = {"command": "score", "checkpoint": str(ckpt_path), "data_csv": str(data_csv),
-              "window_len": window_len, "stride": stride, "workers": None,
-              "blas_threads": None, "batch_windows": None}
-    _echo_config(out, config)
     try:
         series, entities, _ = dat.load_csv(
             data_csv, gap_limit=int(extra.get("gap_limit", dat.GAP_LIMIT)))
@@ -247,7 +239,10 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
         raise click.UsageError(str(exc))
     except (NumericError, CheckpointError) as exc:
         _fail(exc)
-    _echo_config(out, {**config, **record})
+    out = Path(out_dir)
+    _echo_config(out, {"command": "score", "checkpoint": str(ckpt_path),
+                       "data_csv": str(data_csv), "window_len": window_len,
+                       "stride": stride, **record})
     dat.write_csv(out / "scores.csv",
                   ["window_start", "score"] + [f"series_{i}" for i in range(per_series.shape[1])],
                   ([s, tot, *row] for s, tot, row in zip(starts.tolist(), totals.tolist(),
@@ -267,8 +262,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # -------------------------------------------------------------------- eval
 
 @main.command("eval")
-@click.option("--scores", "scores_path", required=True, type=click.Path())
-@click.option("--labels", "labels_path", required=True, type=click.Path())
+@click.option("--scores", "scores_path", required=True, type=_INPUT)
+@click.option("--labels", "labels_path", required=True, type=_INPUT)
 @click.option("--smooth/--hard", default=False,
               help="Smooth anomaly starts into probabilistic labels.")
 @click.option("--sigma", type=_POSITIVE, callback=_finite, default=6.0, show_default=True)
@@ -276,13 +271,6 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_eval(scores_path, labels_path, smooth, sigma, bins, out_dir):
     """Compute ROC/AUC and a score histogram from scores + labels CSVs."""
-    for p, flag in ((scores_path, "--scores"), (labels_path, "--labels")):
-        if not os.path.exists(p):
-            raise click.UsageError(f"{flag} path does not exist: {p}")
-    out = Path(out_dir)
-    _echo_config(out, {"command": "eval", "scores": str(scores_path),
-                       "labels": str(labels_path), "smooth": smooth,
-                       "sigma": sigma, "bins": bins})
     try:
         starts, scores, _ = read_scores_csv(scores_path)
         label_starts, labels = dat.read_labels_csv(labels_path)
@@ -304,6 +292,10 @@ def cmd_eval(scores_path, labels_path, smooth, sigma, bins, out_dir):
     except met.UndefinedAucError as exc:
         _fail(exc)
     counts, edges = met.density_histogram(scores, bins=bins)
+    out = Path(out_dir)
+    _echo_config(out, {"command": "eval", "scores": str(scores_path),
+                       "labels": str(labels_path), "smooth": smooth,
+                       "sigma": sigma, "bins": bins})
     dat.write_csv(out / "histogram.csv", ["bin_lo", "bin_hi", "count"],
                   zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     report = {
@@ -320,7 +312,7 @@ def cmd_eval(scores_path, labels_path, smooth, sigma, bins, out_dir):
 # ----------------------------------------------------------- export-graph
 
 @main.command("export-graph")
-@click.argument("checkpoints", nargs=-1, required=True, type=click.Path())
+@click.argument("checkpoints", nargs=-1, required=True, type=_INPUT)
 @click.option("--epsilon", type=_POSITIVE, callback=_finite, default=0.01, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_export_graph(checkpoints, epsilon, out_dir):
@@ -329,34 +321,27 @@ def cmd_export_graph(checkpoints, epsilon, out_dir):
     With several checkpoints, additionally writes an edge-weight matrix CSV
     with one row per checkpoint, for drift inspection over shifted windows.
     """
-    for p in checkpoints:
-        if not os.path.exists(p):
-            raise click.UsageError(f"checkpoint path does not exist: {p}")
+    try:
+        matrices = [checkpoint_load(path).adjacency.data for path in checkpoints]
+    except CheckpointError as exc:
+        _fail(exc)
     out = Path(out_dir)
     _echo_config(out, {"command": "export-graph", "epsilon": epsilon,
                        "checkpoints": [str(p) for p in checkpoints]})
     all_edges: list[set] = []
-    matrices = []
-    try:
-        for k, path in enumerate(checkpoints):
-            model = checkpoint_load(path)
-            a = model.adjacency.data
-            edges, acyclic = threshold_dag(a, epsilon)
-            stem = f"graph_{k}" if len(checkpoints) > 1 else "graph"
-            with open(out / f"{stem}.json", "w") as fh:
-                json.dump({"checkpoint": str(path), "epsilon": epsilon,
-                           "acyclic": acyclic,
-                           "edges": [{"parent": j, "child": i, "weight": w}
-                                     for j, i, w in edges]}, fh, indent=2)
-            with open(out / f"{stem}.dot", "w") as fh:
-                fh.write("digraph dag {\n")
-                for j, i, w in edges:
-                    fh.write(f'  n{j} -> n{i} [label="{w:.3f}"];\n')
-                fh.write("}\n")
-            all_edges.append({(j, i) for j, i, _ in edges})
-            matrices.append(a)
-    except CheckpointError as exc:
-        _fail(exc)
+    for k, (path, a) in enumerate(zip(checkpoints, matrices)):
+        edges, acyclic = threshold_dag(a, epsilon)
+        stem = f"graph_{k}" if len(checkpoints) > 1 else "graph"
+        with open(out / f"{stem}.json", "w") as fh:
+            json.dump({"checkpoint": str(path), "epsilon": epsilon, "acyclic": acyclic,
+                       "edges": [{"parent": j, "child": i, "weight": w}
+                                 for j, i, w in edges]}, fh, indent=2)
+        with open(out / f"{stem}.dot", "w") as fh:
+            fh.write("digraph dag {\n")
+            for j, i, w in edges:
+                fh.write(f'  n{j} -> n{i} [label="{w:.3f}"];\n')
+            fh.write("}\n")
+        all_edges.append({(j, i) for j, i, _ in edges})
     if len(checkpoints) > 1:
         union = sorted(set().union(*all_edges))
         dat.write_csv(out / "edge_weights.csv", ["checkpoint"] + [f"{j}->{i}" for j, i in union],
@@ -396,25 +381,16 @@ def cmd_bench(grid, batch, attrs, hidden, iters, seed, out_dir):
 
 def bench_iteration(n: int, t_len: int, batch: int, attrs: int, hidden: int,
                     iters: int, seed: int) -> float:
-    """Median wall time of one forward+backward+update training iteration."""
+    """Median wall time of one ``train_step`` on the NLL alone: forward, backward, update."""
     rng = np.random.default_rng(seed)
     model = GanfModel(n_series=n, input_dim=attrs, hidden_dim=hidden,
                       flow_blocks=2, flow_hidden=hidden, mode="graph", seed=seed)
     x = rng.normal(size=(batch, n, t_len, attrs))
-    params = model.parameters()
-    opt = Adam()
+    opt, config = Adam(), TrainConfig()
     times = []
     for _ in range(iters + 1):
-        for p in params.values():
-            p.zero_grad()
         start = time.perf_counter()
-        tape = GradientTape()
-        with tape:
-            loss = model.batch_nll(x)
-        tape.backward(loss)
-        clip_gradients(params, 1.0)
-        opt.step(params, 1e-3)
-        model.remask_diagonal()
+        train_step(model, x, opt, config.lr, config)
         times.append(time.perf_counter() - start)
     return float(np.median(times[1:]))  # drop warm-up
 

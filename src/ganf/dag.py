@@ -95,12 +95,6 @@ def augmented_lagrangian(nll: Tensor, a: Tensor, state: LagrangianState) -> Tens
     return out
 
 
-# ``train`` stops once the next c would pass this, as NOTEARS caps c at rho_max
-# (Zheng et al., arXiv:1803.01422); the default-size runs measured peak at
-# c = 1e14-1e17
-PENALTY_CAP = 1e20
-
-
 def dual_penalty_update(state: LagrangianState, h_now: float,
                         eta: float = 10.0, gamma: float = 0.5) -> LagrangianState:
     """One outer-iteration update: lam <- lam + c*h; c grows by eta on stall.

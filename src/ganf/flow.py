@@ -71,14 +71,6 @@ class _Block:
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.{k}": getattr(self, k) for k in self._PARAMS}
 
-    def forward(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
-        """(z, logdet) of this block alone."""
-        return _forward_ops([self], False, x, d)
-
-    def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """The x this block alone maps to z under condition d."""
-        return self._inverse(z, _with_ones(d))
-
     def _split(self) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
         """(w_x or None if the masks hide x, [w_c; b_h], w_out, b_out), masked."""
         raise NotImplementedError
@@ -249,17 +241,6 @@ def _emit_run(blocks: Sequence[_Block], flip: bool, x: Tensor, d: Tensor,
     return _emit([x, d, *_params(blocks)], out, vjp)
 
 
-def _forward_ops(blocks: Sequence[_Block], flip: bool, x: Tensor,
-                 d: Tensor) -> tuple[Tensor, Tensor]:
-    """(z, logdet) of ``blocks`` as two tape ops that share one forward pass."""
-    dd = _with_ones(d.data)
-    z, logdet, caches = _run(blocks, flip, x.data, dd, recording(x, d, *_params(blocks)))
-    z_t = _emit_run(blocks, flip, x, d, dd, z, caches,
-                    lambda g: (g, np.zeros_like(logdet)))
-    return z_t, _emit_run(blocks, flip, x, d, dd, logdet, caches,
-                          lambda g: (np.zeros_like(z), g))
-
-
 class FlowStack:
     """Stacked conditional flow blocks with dimension reversal in between.
 
@@ -299,9 +280,14 @@ class FlowStack:
             raise ShapeError(f"flow expects {self.cond_dim} condition dims, got {d_cols}")
 
     def forward(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
-        """(z, total logdet) for a batch of rows."""
+        """(z, total logdet) for a batch of rows, as two tape ops over one pass."""
         self._check(x.shape[-1], d.shape[-1])
-        return _forward_ops(self.blocks, self._flip, x, d)
+        blocks, flip, dd = self.blocks, self._flip, _with_ones(d.data)
+        z, logdet, caches = _run(blocks, flip, x.data, dd, recording(x, d, *_params(blocks)))
+        z_t = _emit_run(blocks, flip, x, d, dd, z, caches,
+                        lambda g: (g, np.zeros_like(logdet)))
+        return z_t, _emit_run(blocks, flip, x, d, dd, logdet, caches,
+                              lambda g: (np.zeros_like(z), g))
 
     def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -327,12 +313,3 @@ class FlowStack:
                                  recording(x, d, *_params(self.blocks)))
         return _emit_run(self.blocks, self._flip, x, d, dd, self._log_q(z) + logdet,
                          caches, lambda g: (-g[:, None] * z, g))
-
-    def sample(self, count: int, d: np.ndarray, seed: int) -> np.ndarray:
-        """Draw count rows by inverting base-distribution samples; deterministic per seed."""
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((count, self.input_dim))
-        d = np.asarray(d, dtype=np.float64)
-        if d.ndim == 1:
-            d = np.broadcast_to(d, (count, d.shape[0])).copy()
-        return self.inverse(z, d)

@@ -13,8 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dag import (PENALTY_CAP, LagrangianState, acyclicity, augmented_lagrangian,
-                  dual_penalty_update)
+from .dag import LagrangianState, acyclicity, augmented_lagrangian, dual_penalty_update
 from .data import DataError
 from .flow import FLOW_KINDS
 from .model import MODES, GanfModel
@@ -145,48 +144,57 @@ def _validation_log_density(model: GanfModel, windows: np.ndarray) -> float:
     return float(-totals.mean())
 
 
+def train_step(model: GanfModel, batch: np.ndarray, optimizer: Adam, lr: float,
+               config: TrainConfig, lagrangian: Optional[LagrangianState] = None,
+               ) -> tuple[float, float, float]:
+    """One Adam step on the batch NLL, plus the augmented Lagrangian's h(A)
+    terms when ``lagrangian`` is given; returns (loss, NLL, pre-clip gradient norm).
+
+    Raises :class:`NumericError` before any update if the loss is not finite.
+    """
+    params = model.parameters()
+    for p in params.values():
+        p.zero_grad()
+    tape = GradientTape()
+    with tape:
+        nll = model.batch_nll(batch)
+        loss = nll if lagrangian is None else \
+            augmented_lagrangian(nll, model.adjacency, lagrangian)
+    if not np.isfinite(loss.item()):
+        raise NumericError("non-finite loss")
+    tape.backward(loss)
+    grad_norm = clip_gradients(params, config.grad_clip, config.clip_mode)
+    optimizer.step(params, lr)
+    model.remask_diagonal()
+    return loss.item(), nll.item(), grad_norm
+
+
 def inner_optimize(state: TrainState, train_windows: np.ndarray,
                    val_windows: np.ndarray, config: TrainConfig,
                    rng: np.random.Generator) -> TrainState:
     """One inner subproblem: ``inner_epochs`` of Adam on the augmented Lagrangian."""
     model = state.model
-    params = model.parameters()
+    lagrangian = state.lagrangian if model.mode == "graph" else None
     n_windows = train_windows.shape[0]
     for _ in range(config.inner_epochs):
         start = time.perf_counter()
         order = rng.permutation(n_windows)
-        epoch_loss = 0.0
-        epoch_nll = 0.0
-        epoch_grad_norm = 0.0
+        totals = np.zeros(3)    # loss, NLL, gradient norm
         n_batches = 0
         for lo in range(0, n_windows, config.batch_size):
-            batch = train_windows[order[lo:lo + config.batch_size]]
-            for p in params.values():
-                p.zero_grad()
-            tape = GradientTape()
-            with tape:
-                nll = model.batch_nll(batch)
-                loss = augmented_lagrangian(nll, model.adjacency, state.lagrangian) \
-                    if model.mode == "graph" else nll
-            if not np.isfinite(loss.item()):
-                raise TrainingAbort(f"non-finite loss at epoch {state.epoch}", state.history)
-            tape.backward(loss)
-            epoch_grad_norm += clip_gradients(params, config.grad_clip, config.clip_mode)
-            state.optimizer.step(params, state.lr)
-            model.remask_diagonal()
-            epoch_loss += loss.item()
-            epoch_nll += nll.item()
+            totals += train_step(model, train_windows[order[lo:lo + config.batch_size]],
+                                 state.optimizer, state.lr, config, lagrangian)
             n_batches += 1
+        loss, nll, grad_norm = (totals / n_batches).tolist()
         val_ld = _validation_log_density(model, val_windows) \
             if val_windows.size else float("nan")
         h = acyclicity(model.adjacency.data)
         wall = time.perf_counter() - start
         record = {
             "kind": "epoch", "outer": state.lagrangian.k, "epoch": state.epoch,
-            "train_loss": epoch_loss / n_batches, "train_nll": epoch_nll / n_batches,
-            "val_log_density": val_ld, "lr": state.lr, "h": h,
-            "lambda": state.lagrangian.lam, "c": state.lagrangian.c,
-            "grad_norm": epoch_grad_norm / n_batches,
+            "train_loss": loss, "train_nll": nll, "val_log_density": val_ld,
+            "lr": state.lr, "h": h, "lambda": state.lagrangian.lam,
+            "c": state.lagrangian.c, "grad_norm": grad_norm,
             "wall_s": wall, "windows_per_s": n_windows / wall,
         }
         # model selection + plateau learning-rate decay on validation log-density.
@@ -215,12 +223,12 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray, config: TrainConfi
           ) -> tuple[GanfModel, np.ndarray, list[dict]]:
     """Full outer loop; returns (best model, adjacency, history).
 
-    Stops when |h(A)| < h_tol, after ``max_outer_iters`` outer iterations, or
-    when the penalty c would exceed ``dag.PENALTY_CAP`` (the last two flagged
-    in the final record's warning). ``on_record``, if given, receives each
-    history record as it is made. Raises :class:`DataError` when there are no
-    training windows, and :class:`TrainingAbort`, carrying the history so
-    far, when a loss, a log-density or h(A) stops being finite.
+    Stops when |h(A)| < h_tol or after ``max_outer_iters`` outer iterations
+    (the latter flagged in the final record's warning). ``on_record``, if
+    given, receives each history record as it is made. Raises
+    :class:`DataError` when there are no training windows, and
+    :class:`TrainingAbort`, carrying the history so far, when a loss, a
+    log-density or h(A) stops being finite.
     """
     if train_windows.shape[0] == 0:
         raise DataError("no training windows: the series is too short for the "
@@ -260,18 +268,14 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray, config: TrainConfi
         if abs(h_now) < config.h_tol:
             converged = True
             break
-        if state.lagrangian.c > PENALTY_CAP:
-            break
 
     if state.best_arrays is not None:
         _load_arrays(model, state.best_arrays)
     final_h = acyclicity(model.adjacency.data)
     feasible = converged or abs(final_h) < config.h_tol
-    stop = (f"penalty c would exceed its cap {PENALTY_CAP:.0e}"
-            if state.lagrangian.c > PENALTY_CAP else "outer budget exhausted")
     state.log({
         "kind": "final", "converged": feasible,
-        "warning": None if feasible else f"{stop} with |h|={abs(final_h):.3e}",
+        "warning": None if feasible else f"outer budget exhausted with |h|={abs(final_h):.3e}",
         "h": final_h, "best_val_log_density": state.best_val,
     })
     return model, model.adjacency.data.copy(), state.history

@@ -229,6 +229,7 @@ def test_score_shape_mismatch_names_adjacency(runner, trained_dir, tmp_path):
                                "--data", str(bad), "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
     assert "'A'" in res.output and "n=3" in res.output
+    assert not (tmp_path / "o" / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--stride", "0"), ("--window-len", "0"),
@@ -346,6 +347,7 @@ def test_score_malformed_csv_exit_2(runner, synth_dir, trained_dir, tmp_path, ca
                                "--data", str(path), "--out", str(tmp_path / "s")])
     assert res.exit_code == 2, res.output
     assert "bad.csv" in res.output and "line 6" in res.output
+    assert not (tmp_path / "s" / "resolved_config.json").exists()
 
 
 def test_eval_hard_labels(runner, synth_dir, trained_dir, tmp_path):
@@ -425,6 +427,7 @@ def test_eval_malformed_file_exit_2(runner, tmp_path, name, text):
                                "--hard", "--out", str(tmp_path / "e")])
     assert res.exit_code == 2, res.output
     assert f"{name}.csv: line 2" in res.output
+    assert not (tmp_path / "e" / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize("args", [["--bins", "0"], ["--bins", "-3"],
@@ -493,6 +496,51 @@ def test_export_graph_malformed_epsilon_exit_2(runner, trained_dir, tmp_path, ep
     assert not (tmp_path / "g").exists()
 
 
+def test_export_graph_truncated_second_checkpoint_writes_nothing(runner, trained_dir,
+                                                                  tmp_path):
+    ckpt = trained_dir / "checkpoint.ganf"
+    truncated = tmp_path / "truncated.ganf"
+    truncated.write_bytes(ckpt.read_bytes()[:-40])
+    out = tmp_path / "g"
+    out.mkdir()
+    res = runner.invoke(main, ["export-graph", str(ckpt), str(truncated), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "truncated.ganf" in res.output
+    assert list(out.iterdir()) == []
+
+
+def _input_args(trained_dir, synth_dir, tmp_path):
+    """Each command with valid inputs: (command, {flag: path}, other arguments)."""
+    ckpt, series = trained_dir / "checkpoint.ganf", synth_dir / "series.csv"
+    scores = tmp_path / "scores.csv"
+    scores.write_text("window_start,score\n0,1.0\n10,2.0\n")
+    return {
+        "score": ({"--checkpoint": ckpt, "--data": series}, []),
+        "eval": ({"--scores": scores, "--labels": synth_dir / "labels.csv"}, ["--hard"]),
+        "export-graph": ({"CHECKPOINTS": ckpt}, []),
+    }
+
+
+@pytest.mark.parametrize("flag", ["score --checkpoint", "score --data", "eval --scores",
+                                  "eval --labels", "export-graph CHECKPOINTS"])
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+def test_input_path_missing_or_a_directory_exit_2(runner, trained_dir, synth_dir, tmp_path,
+                                                  flag, bad):
+    command, name = flag.split()
+    inputs, rest = _input_args(trained_dir, synth_dir, tmp_path)[command]
+    inputs[name] = tmp_path / "nowhere.csv"
+    if bad == "directory":
+        inputs[name].mkdir()
+    args = [command, *rest, "--out", str(tmp_path / "out")]
+    for key, path in inputs.items():
+        args += [str(path)] if key == "CHECKPOINTS" else [key, str(path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert name in res.output
+    assert ("is a directory" if bad == "directory" else "does not exist") in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_graph_multiple_writes_weight_matrix(runner, trained_dir, tmp_path):
     ckpt = str(trained_dir / "checkpoint.ganf")
     res = runner.invoke(main, ["export-graph", ckpt, ckpt,
@@ -534,6 +582,19 @@ def test_bench_negative_seed_exit_2(runner, tmp_path, seed):
     assert res.exit_code == 2, res.output
     assert "--seed" in res.output
     assert not (tmp_path / "resolved_config.json").exists()
+
+
+def test_bench_iteration_times_train_step_on_the_nll_alone(monkeypatch):
+    calls = []
+    step = cli.train_step
+
+    def counted(model, batch, optimizer, lr, config, lagrangian=None):
+        calls.append(lagrangian)
+        return step(model, batch, optimizer, lr, config, lagrangian)
+
+    monkeypatch.setattr(cli, "train_step", counted)
+    cli.bench_iteration(3, 4, batch=2, attrs=1, hidden=4, iters=3, seed=0)
+    assert calls == [None] * 4
 
 
 def test_bench_records_blas_threads(runner, tmp_path, blas_at_three):
