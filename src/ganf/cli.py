@@ -2,8 +2,10 @@
 graphs, and benchmark scaling.
 
 Every command echoes its fully resolved configuration into the output
-directory so runs are reproducible from the echo plus the seed. Exit codes:
-0 success, 1 runtime/numeric failure, 2 usage/config error. The env var
+directory so runs are reproducible from the echo plus the seed (``train``
+echoes every setting, defaults included). Each setting read from a file is
+checked by :func:`ganf.data.check_settings`. Exit codes: 0 success, 1
+runtime/numeric failure or unusable checkpoint, 2 usage/config error. The env var
 ``GANF_THREADS`` sets the threads that score windows, in ``score`` and in
 ``train``'s validation passes (see :mod:`ganf.parallel`).
 """
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -45,11 +47,12 @@ def _echo_config(out_dir: Path, config: dict):
 def _load_json(path, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise click.UsageError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+            value = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise click.UsageError(f"{what} file {path} is not valid JSON: {exc}")
+    if not isinstance(value, dict):
+        raise click.UsageError(f"{what} file {path} does not hold a JSON object")
+    return value
 
 
 def _finite(ctx, param, value):
@@ -76,7 +79,7 @@ def main():
 # ------------------------------------------------------------------- synth
 
 @main.command("synth")
-@click.option("--spec", "spec_path", required=True, type=click.Path(), help="SynthSpec JSON file.")
+@click.option("--spec", "spec_path", required=True, type=_INPUT, help="SynthSpec JSON file.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--length", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -114,11 +117,8 @@ def cmd_synth(spec_path, out_dir, length, seed):
 
 # ------------------------------------------------------------------- train
 
-_TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
-
-
 @main.command("train")
-@click.option("--config", "config_path", required=True, type=click.Path())
+@click.option("--config", "config_path", required=True, type=_INPUT)
 @click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--window-len", type=click.IntRange(min=1), default=None)
 @click.option("--stride", type=click.IntRange(min=1), default=None)
@@ -128,32 +128,22 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
     """Train on a CSV dataset; writes checkpoint, history, resolved config."""
     _worker_count()   # validation scoring reads GANF_THREADS; reject a bad value up front
     cfg = _load_json(config_path, "config")
-    for key, val in (("mode", mode), ("window_len", window_len),
-                     ("stride", stride), ("seed", seed)):
-        if val is not None:
-            cfg[key] = val
-    data_csv = cfg.get("data_csv")
-    if not data_csv:
-        raise click.UsageError("config is missing required field 'data_csv'")
-    if not os.path.exists(data_csv):
-        raise click.UsageError(f"--config data_csv path does not exist: {data_csv}")
-    window_cfg = {}
-    for key, convert, default in (
-            ("window_len", int, 20), ("stride", int, cfg.get("window_len", 20)),
-            ("train_frac", float, 0.6), ("val_frac", float, 0.2),
-            ("gap_limit", int, dat.GAP_LIMIT)):
-        value = cfg.get(key, default)
-        try:
-            window_cfg[key] = convert(value)
-        except (ValueError, TypeError):
-            raise click.UsageError(f"config {key} must be a number, got {value!r}")
-    for key in ("window_len", "stride"):
-        if window_cfg[key] < 1:
-            raise click.UsageError(f"config {key} must be at least 1, got {window_cfg[key]}")
+    flags = {"mode": mode, "window_len": window_len, "stride": stride, "seed": seed}
+    cfg.update((key, val) for key, val in flags.items() if val is not None)
+    data_csv = cfg.pop("data_csv", None)
+    if not data_csv or not isinstance(data_csv, str):
+        raise click.UsageError(f"config data_csv must be a CSV path, got {data_csv!r}")
+    # train() never reads the window keys (the checkpoint header stores the
+    # fractions as floats); the rest, unknown keys included, go to TrainConfig
+    window_cfg = {"window_len": 20, "stride": cfg.get("window_len", 20),
+                  "train_frac": 0.6, "val_frac": 0.2, "gap_limit": dat.GAP_LIMIT}
+    window_cfg.update((key, cfg.pop(key)) for key in list(window_cfg) if key in cfg)
     try:
-        train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in _TRAIN_KEYS})
+        dat.check_settings(window_cfg, dat.WINDOW_SETTINGS)
+        train_cfg = TrainConfig(**cfg)
     except (ValueError, TypeError) as exc:
-        raise click.UsageError(f"bad training config: {exc}")
+        raise click.UsageError(f"bad config: {exc}")
+    window_cfg.update((key, float(window_cfg[key])) for key in ("train_frac", "val_frac"))
     out = Path(out_dir)
     try:
         series, entities, _ = dat.load_csv(data_csv, gap_limit=window_cfg["gap_limit"])
@@ -162,9 +152,9 @@ def cmd_train(config_path, mode, window_len, stride, seed, out_dir):
         split = dat.normalize(dat.split_windows(
             windows, starts, window_cfg["train_frac"], window_cfg["val_frac"]))
     except dat.DataError as exc:
-        raise click.UsageError(str(exc))
-    _echo_config(out, {**cfg, **window_cfg, "command": "train",
-                       "blas_threads": blas_threads()})
+        raise click.UsageError(f"config data_csv: {exc}")
+    _echo_config(out, {"data_csv": data_csv, **window_cfg, **asdict(train_cfg),
+                       "command": "train", "blas_threads": blas_threads()})
     # each record is on disk as soon as it is made, so a run can be watched and
     # an aborted one keeps the records up to its failing epoch
     with open(out / "history.jsonl", "w") as fh:
@@ -215,11 +205,11 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
         _fail(exc)
     extra = model.checkpoint_extra
     if window_len is None:
-        window_len = int(extra.get("window_len", 20))
+        window_len = extra.get("window_len", 20)
     workers = _worker_count()
     try:
         series, entities, _ = dat.load_csv(
-            data_csv, gap_limit=int(extra.get("gap_limit", dat.GAP_LIMIT)))
+            data_csv, gap_limit=extra.get("gap_limit", dat.GAP_LIMIT))
         if len(entities) != model.n_series or series.shape[2] != model.input_dim:
             raise CheckpointError(
                 f"checkpoint adjacency 'A' is {model.n_series}x{model.n_series} with "

@@ -10,6 +10,7 @@ import csv
 import itertools
 import math
 import numbers
+import sys
 from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -22,6 +23,40 @@ from .dag import topological_order
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+def check_settings(settings: dict, rules: dict):
+    """:class:`DataError` naming the first setting in ``settings`` that breaks its
+    rule in ``rules`` (a rule with no value in ``settings`` is skipped). An int rule
+    is the floor of an integer: a Python or NumPy int, not a bool. A str rule such as
+    ``"(0, 1]"`` is the interval of a real: a finite int or float, not a bool or a
+    string. A tuple rule lists the values of a choice."""
+    for name, rule in rules.items():
+        if name not in settings:
+            continue
+        value = settings[name]
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if isinstance(rule, tuple):
+            ok, want = value in rule, f"one of {rule}"
+        elif isinstance(rule, int):
+            ok = number and isinstance(value, numbers.Integral) and value >= rule
+            want = f"an integer >= {rule}"
+        else:
+            low, high = (float(end) for end in rule[1:-1].split(","))
+            # nan, inf and an int too large for a float all fail the first test
+            ok = (number and abs(value) <= sys.float_info.max
+                  and (low < value if rule[0] == "(" else low <= value)
+                  and (value < high if rule[-1] == ")" else value <= high))
+            want = f"a finite number in {rule}"
+        if not ok:
+            raise DataError(f"{name} must be {want}, got {value!r}")
+
+
+REAL = "(-inf, inf)"   # any finite number
+
+# the settings that cut a series into windows and split them
+WINDOW_SETTINGS = {"window_len": 1, "stride": 1, "train_frac": REAL, "val_frac": REAL,
+                   "gap_limit": 0}
 
 
 # a timestamp may sit this many steps off the grid grid0 + k * step, on top of
@@ -52,7 +87,7 @@ def _csv_rows(path, header_ok, expected: str):
                     raise DataError(f"{path}: line {reader.line_num} has {len(row)} "
                                     f"columns, the header has {len(header)}")
                 yield reader.line_num, row
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
 
 
@@ -181,10 +216,9 @@ def make_windows(series: np.ndarray, window_len: int,
 
     Returns (windows (N, n, T, D), start indices (N,)), the windows one
     contiguous copy of a strided view of ``series``. A window length or
-    stride below 1 is a :class:`DataError`.
+    stride that is not an integer >= 1 is a :class:`DataError`.
     """
-    if window_len < 1 or stride < 1:
-        raise DataError(f"window_len {window_len} and stride {stride} must be >= 1")
+    check_settings({"window_len": window_len, "stride": stride}, WINDOW_SETTINGS)
     series = np.asarray(series, dtype=np.float64)
     n, length, d = series.shape
     if length < window_len:
@@ -274,20 +308,20 @@ class SynthSpec:
     adjacency: Optional[list[list[float]]] = None  # explicit ground truth, optional
 
 
-def _check_synth(spec: SynthSpec, length: int):
-    """:class:`DataError` for a spec or length that ``synth_generate`` cannot
-    sample from."""
-    for name, value in (("n_series", spec.n_series), ("n_attrs", spec.n_attrs),
-                        ("length", length)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise DataError(f"{name} must be an integer >= 1, got {value!r}")
-    for name, low, high in (("edge_prob", 0.0, 1.0), ("noise_std", 0.0, math.inf),
-                            ("rho", -math.inf, math.inf), ("weight_low", -math.inf, math.inf),
-                            ("weight_high", spec.weight_low, math.inf)):
-        value = getattr(spec, name)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                and low <= value <= high):
-            raise DataError(f"spec {name} {value!r} is not a finite number in [{low}, {high}]")
+# SynthSpec's rules and synth_generate's length; adjacency is checked where it is read
+SYNTH_SETTINGS = {
+    "n_series": 1, "n_attrs": 1, "length": 1, "edge_prob": "[0, 1]", "weight_low": REAL,
+    "weight_high": REAL, "rho": REAL, "noise_std": "[0, inf)", "anomaly_rate": "[0, 1)",
+    "anomaly_magnitude": REAL, "anomaly_type": ("spike", "level-shift"), "window_len": 1,
+    "stride": 1, "anomaly_start_frac": "[0, 1]",
+}
+
+
+def _check_spec(spec: SynthSpec, length: int = 1):
+    """:class:`DataError` for a spec field, or a ``synth_generate`` length, out of range."""
+    check_settings({**vars(spec), "length": length}, SYNTH_SETTINGS)
+    if spec.weight_high < spec.weight_low:
+        raise DataError(f"weight_high {spec.weight_high!r} is below weight_low {spec.weight_low!r}")
     if not math.isfinite(spec.weight_high - spec.weight_low):
         raise DataError("spec weight_high - weight_low overflows")
 
@@ -364,7 +398,7 @@ def synth_generate(spec: SynthSpec, length: int,
     non-finite explicit adjacency: each is a :class:`DataError`, raised
     before anything is drawn.
     """
-    _check_synth(spec, length)
+    _check_spec(spec, length)
     rng = np.random.default_rng(seed)
     a = _ground_truth_dag(spec, rng)
     n, d, rho = spec.n_series, spec.n_attrs, spec.rho
@@ -400,14 +434,6 @@ def synth_generate(spec: SynthSpec, length: int,
     return series, a
 
 
-def _check_anomalies(spec: SynthSpec):
-    """:class:`DataError` for an anomaly rate outside [0, 1) or an unknown type."""
-    if not 0.0 <= spec.anomaly_rate < 1.0:
-        raise DataError(f"anomaly rate {spec.anomaly_rate} outside [0, 1)")
-    if spec.anomaly_type not in ("spike", "level-shift"):
-        raise DataError(f"unknown anomaly type {spec.anomaly_type!r}")
-
-
 def _perturb_window(window: np.ndarray, node: int, spec: SynthSpec,
                     rng: np.random.Generator):
     """In-place anomaly in one node of an (n, T, D) window."""
@@ -425,7 +451,7 @@ def inject_anomalies(windows: np.ndarray, spec: SynthSpec,
 
     Returns (perturbed copy, exact binary labels).
     """
-    _check_anomalies(spec)
+    _check_spec(spec)
     rng = np.random.default_rng(seed)
     out = np.array(windows, copy=True)
     n_windows = out.shape[0]
@@ -446,7 +472,7 @@ def inject_series_anomalies(series: np.ndarray, starts: np.ndarray,
     Only windows starting at or after ``anomaly_start_frac * L`` are eligible.
     Returns (perturbed series copy, per-window labels aligned with starts).
     """
-    _check_anomalies(spec)
+    _check_spec(spec)
     rng = np.random.default_rng(seed)
     out = np.array(series, copy=True)
     labels = np.zeros(len(starts), dtype=np.int64)

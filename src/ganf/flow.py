@@ -250,18 +250,13 @@ class FlowStack:
     def __init__(self, input_dim: int, cond_dim: int, n_blocks: int = 6,
                  hidden: int = 32, kind: str = "maf",
                  rng: Optional[np.random.Generator] = None):
-        if kind not in FLOW_KINDS:
-            raise ValueError(f"unknown flow kind {kind!r}; expected one of {FLOW_KINDS}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dim = input_dim
         self.cond_dim = cond_dim
         self.kind = kind
-        if kind == "maf":
-            self.blocks = [MafBlock(input_dim, cond_dim, hidden, rng)
-                           for _ in range(n_blocks)]
-        else:
-            self.blocks = [CouplingBlock(input_dim, cond_dim, hidden, rng, parity=k)
-                           for k in range(n_blocks)]
+        make = {"maf": lambda k: MafBlock(input_dim, cond_dim, hidden, rng),
+                "coupling": lambda k: CouplingBlock(input_dim, cond_dim, hidden, rng, k)}[kind]
+        self.blocks = [make(k) for k in range(n_blocks)]
 
     def parameters(self, prefix: str = "flow") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

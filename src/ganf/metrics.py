@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_settings
+
 
 class UndefinedAucError(ValueError):
     """All-positive or all-negative label mass; the ROC curve is undefined."""
@@ -15,8 +17,7 @@ class UndefinedAucError(ValueError):
 def smooth_labels(window_starts: np.ndarray, anomaly_starts: np.ndarray,
                   sigma: float = 6.0) -> np.ndarray:
     """Soft labels p(t) = max_i exp(-(t - t_i)^2 / sigma^2)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_settings({"sigma": sigma}, {"sigma": "(0, inf)"})
     window_starts = np.asarray(window_starts, dtype=np.float64)
     anomaly_starts = np.asarray(anomaly_starts, dtype=np.float64)
     if anomaly_starts.size == 0:
@@ -80,7 +81,6 @@ def shd(pred_edges, true_edges) -> int:
 
 def density_histogram(scores: np.ndarray, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """(counts, bin edges) over the scores."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    check_settings({"bins": bins}, {"bins": 1})
     return np.histogram(np.asarray(scores, dtype=np.float64), bins=bins)
 

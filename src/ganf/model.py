@@ -14,14 +14,18 @@ from typing import Optional
 
 import numpy as np
 
+from .data import check_settings
 from .encoder import (EncoderParams, LstmCell, encode_dependencies,
                       encode_hidden, offdiag_mask)
-from .flow import FlowStack
+from .flow import FLOW_KINDS, FlowStack
 from .parallel import run_tasks, worker_count
 from .tensor import (NumericError, ShapeError, Tensor, mul, reshape, sum_,
                      transpose)
 
 MODES = ("graph", "no-graph", "full-chain")
+# the rules of the model shape, which a checkpoint header stores and TrainConfig shares
+MODEL_SETTINGS = {"n_series": 1, "input_dim": 1, "hidden_dim": 1, "flow_blocks": 0,
+                  "flow_hidden": 1, "flow_type": FLOW_KINDS, "mode": MODES, "seed": 0}
 SCORE_BATCH = 64   # most windows in one scoring batch
 # most (window x series x step x width) cells in one scoring batch: the
 # default model's 64-window batch (n=5, T=20, hidden and flow width 32)
@@ -42,8 +46,6 @@ class GanfModel:
     def __init__(self, n_series: int, input_dim: int, hidden_dim: int = 32,
                  flow_blocks: int = 6, flow_hidden: int = 32,
                  flow_type: str = "maf", mode: str = "graph", seed: int = 0):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         self.n_series = n_series
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
@@ -52,6 +54,7 @@ class GanfModel:
         self.flow_blocks = flow_blocks
         self.flow_hidden = flow_hidden
         self.seed = seed
+        check_settings(self.config(), MODEL_SETTINGS)
 
         rng = np.random.default_rng(seed)
         # full-chain folds the n series into one wide series
@@ -213,12 +216,9 @@ class GanfModel:
             raise ShapeError(f"expected (N, n, T, D) windows, got shape {windows.shape}")
         if batch_size is None:
             batch_size = self.score_batch_size(windows.shape[0], windows.shape[2])
-        elif batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         if workers is None:
             workers = worker_count()
-        elif workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
+        check_settings(dict(batch_size=batch_size, workers=workers), dict(batch_size=1, workers=1))
         totals = np.empty(windows.shape[0])
         per_series = np.empty((windows.shape[0], self._n_eff))
 

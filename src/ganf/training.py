@@ -14,9 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dag import LagrangianState, acyclicity, augmented_lagrangian, dual_penalty_update
-from .data import DataError
-from .flow import FLOW_KINDS
-from .model import MODES, GanfModel
+from .data import WINDOW_SETTINGS, DataError, check_settings
+from .model import MODEL_SETTINGS, GanfModel
 from .tensor import GradientTape, NumericError, Tensor
 
 
@@ -53,24 +52,15 @@ class TrainConfig:
     mode: str = "graph"
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.eta <= 1.0:
-            raise ValueError(f"eta must exceed 1, got {self.eta}")
-        for name in ("lr", "lr_decay", "grad_clip", "h_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name, low in (("hidden_dim", 1), ("flow_hidden", 1), ("flow_blocks", 0),
-                          ("batch_size", 1), ("inner_epochs", 1), ("max_outer_iters", 1),
-                          ("plateau_patience", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-        for name, choices in (("mode", MODES), ("flow_type", FLOW_KINDS),
-                              ("clip_mode", CLIP_MODES)):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
-                                 f"expected one of {choices}")
+        check_settings(vars(self), TRAIN_SETTINGS)
+
+
+CLIP_MODES = ("global", "elementwise")
+TRAIN_SETTINGS = {
+    **MODEL_SETTINGS, "lr": "(0, inf)", "lr_decay": "(0, inf)", "grad_clip": "(0, inf)",
+    "h_tol": "(0, inf)", "clip_mode": CLIP_MODES, "batch_size": 1, "inner_epochs": 1,
+    "max_outer_iters": 1, "plateau_patience": 1, "eta": "(1, inf)", "gamma": "(0, 1)",
+}
 
 
 class Adam:
@@ -96,9 +86,6 @@ class Adam:
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
             p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-CLIP_MODES = ("global", "elementwise")
 
 
 def clip_gradients(params: dict[str, Tensor], clip: float, mode: str = "global") -> float:
@@ -234,12 +221,9 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray, config: TrainConfi
         raise DataError("no training windows: the series is too short for the "
                         "window length, stride and train fraction")
     rng = np.random.default_rng(config.seed)
-    n_series = train_windows.shape[1]
-    input_dim = train_windows.shape[3]
-    model = GanfModel(
-        n_series=n_series, input_dim=input_dim, hidden_dim=config.hidden_dim,
-        flow_blocks=config.flow_blocks, flow_hidden=config.flow_hidden,
-        flow_type=config.flow_type, mode=config.mode, seed=config.seed)
+    shape = {k: v for k, v in vars(config).items() if k in MODEL_SETTINGS}
+    model = GanfModel(n_series=train_windows.shape[1], input_dim=train_windows.shape[3],
+                      **shape)
     state = TrainState(model=model, lagrangian=LagrangianState.initial(rng),
                        optimizer=Adam(), lr=config.lr, on_record=on_record)
     if model.mode != "graph":
@@ -335,8 +319,9 @@ def _parse_header(path, blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, .
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         raise CheckpointError(f"{path}: header is not JSON") from None
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
-            and isinstance(header.get("arrays"), list)):
-        raise CheckpointError(f"{path}: header lacks 'config' or 'arrays'")
+            and isinstance(header.get("arrays"), list)
+            and isinstance(header.get("extra", {}), dict)):
+        raise CheckpointError(f"{path}: header lacks 'config' or 'arrays', or has a bad 'extra'")
     try:
         entries = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
     except (KeyError, TypeError, ValueError):
@@ -350,7 +335,8 @@ def _parse_header(path, blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, .
 def checkpoint_load(path) -> GanfModel:
     """Rebuild the saved model; its ``checkpoint_extra`` holds the header extras.
 
-    Reads versions 1 and 2. Every problem with the file is a CheckpointError.
+    Reads versions 1 and 2. Every problem with the file is a CheckpointError,
+    a header config or window setting that breaks its rule included.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -383,6 +369,7 @@ def checkpoint_load(path) -> GanfModel:
         raise CheckpointError(f"{path}: config_hash does not match the header's config")
     try:
         model = GanfModel(**header["config"])
+        check_settings(header.get("extra", {}), WINDOW_SETTINGS)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unusable config: {exc}") from None
     _load_arrays(model, arrays)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,15 +17,15 @@ from hypothesis import strategies as st
 
 from ganf import cli, parallel
 from ganf.cli import main, read_scores_csv
-from ganf.data import (DataError, SynthSpec, load_csv, make_windows, write_csv,
-                       write_labels_csv, write_series_csv)
+from ganf.data import (WINDOW_SETTINGS, DataError, SynthSpec, load_csv, make_windows,
+                       write_csv, write_labels_csv, write_series_csv)
 from ganf.encoder import NODE_MAJOR_MIN_N
 from ganf.model import GanfModel
 from ganf.parallel import blas_threads
 from ganf.tensor import GradientTape, NumericError
-from ganf.training import checkpoint_load, checkpoint_save
+from ganf.training import TrainConfig, checkpoint_load, checkpoint_save
 from test_model import _perturb
-from test_training import poison_adjacency
+from test_training import BAD_TRAIN_SETTINGS, poison_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +299,53 @@ def test_train_non_numeric_window_config_exit_2(runner, synth_dir, tmp_path, key
     res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
                                "--out", str(tmp_path / "t")])
     assert res.exit_code == 2, res.output
-    assert f"config {key} must be a number" in res.output
+    assert f"bad config: {key} must be" in res.output
     assert not (tmp_path / "t" / "resolved_config.json").exists()
+
+
+# every key a ganf train config may hold
+_CONFIG_KEYS = {"data_csv", *WINDOW_SETTINGS, *TrainConfig.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("key,value", BAD_TRAIN_SETTINGS + [
+    ("window_len", 20.9), ("window_len", True), ("window_len", "10"), ("window_len", math.nan),
+    ("stride", math.inf), ("stride", 2.0), ("gap_limit", -4), ("gap_limit", True),
+    ("gap_limit", 5.5), ("train_frac", math.nan), ("train_frac", "0.6"),
+    ("val_frac", math.inf), ("val_frac", -math.inf), ("val_frac", False), ("data_csv", 3),
+    ("inner_epoch", 2),
+])
+def test_train_bad_config_setting_exit_2_naming_it(runner, synth_dir, tmp_path, key, value):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir, **{key: value})))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must be" in res.output or f"'{key}'" in res.output, res.output
+    assert not (tmp_path / "t").exists()
+
+
+def test_train_echo_holds_every_setting_and_retrains_the_same_checkpoint(runner, synth_dir,
+                                                                         tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(_train_config(synth_dir)))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "a")])
+    assert res.exit_code == 0, res.output
+    echoed = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
+    settings = {k: v for k, v in echoed.items() if k not in ("command", "blas_threads")}
+    assert settings.keys() == _CONFIG_KEYS and len(settings) == 23
+    (tmp_path / "echo.json").write_text(json.dumps(settings))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "echo.json"),
+                               "--out", str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "b" / "checkpoint.ganf").read_bytes() == \
+        (tmp_path / "a" / "checkpoint.ganf").read_bytes()
+
+
+def test_readme_train_table_names_every_accepted_key():
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    table = readme.split("The training fields and their valid ranges:")[1].split("\n\n")[1]
+    named = {name for row in table.splitlines()[2:]
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert named == _CONFIG_KEYS
 
 
 def test_train_no_training_windows_exit_2(runner, synth_dir, tmp_path):
@@ -514,15 +561,21 @@ def _input_args(trained_dir, synth_dir, tmp_path):
     ckpt, series = trained_dir / "checkpoint.ganf", synth_dir / "series.csv"
     scores = tmp_path / "scores.csv"
     scores.write_text("window_start,score\n0,1.0\n10,2.0\n")
+    config, spec = tmp_path / "config.json", tmp_path / "spec.json"
+    config.write_text(json.dumps(_train_config(synth_dir)))
+    _write_spec(spec)
     return {
         "score": ({"--checkpoint": ckpt, "--data": series}, []),
         "eval": ({"--scores": scores, "--labels": synth_dir / "labels.csv"}, ["--hard"]),
         "export-graph": ({"CHECKPOINTS": ckpt}, []),
+        "train": ({"--config": config}, []),
+        "synth": ({"--spec": spec}, []),
     }
 
 
 @pytest.mark.parametrize("flag", ["score --checkpoint", "score --data", "eval --scores",
-                                  "eval --labels", "export-graph CHECKPOINTS"])
+                                  "eval --labels", "export-graph CHECKPOINTS",
+                                  "train --config", "synth --spec"])
 @pytest.mark.parametrize("bad", ["missing", "directory"])
 def test_input_path_missing_or_a_directory_exit_2(runner, trained_dir, synth_dir, tmp_path,
                                                   flag, bad):
@@ -539,6 +592,44 @@ def test_input_path_missing_or_a_directory_exit_2(runner, trained_dir, synth_dir
     assert name in res.output
     assert ("is a directory" if bad == "directory" else "does not exist") in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("content", [b'{"data_csv": "\xff.csv"}', b"[1, 2]", b"[" * 100_000],
+                         ids=["not-utf8", "a-list", "nested"])
+def test_json_input_unreadable_or_not_an_object_exit_2(runner, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    flag = {"train": "--config", "synth": "--spec"}[command]
+    res = runner.invoke(main, [command, flag, str(path), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert str(path) in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_data_csv_a_directory_exit_2(runner, synth_dir, tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "config.json").write_text(json.dumps(
+        _train_config(synth_dir, data_csv=str(tmp_path / "data"))))
+    res = runner.invoke(main, ["train", "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "t")])
+    assert res.exit_code == 2, res.output
+    assert "data_csv" in res.output and "Is a directory" in res.output
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("key,value", [("window_len", 7.9), ("window_len", True),
+                                       ("window_len", "abc"), ("gap_limit", -4)])
+def test_score_bad_header_window_setting_exit_1(runner, synth_dir, tmp_path, key, value):
+    checkpoint_save(tmp_path / "bad.ganf", GanfModel(n_series=2, input_dim=1, hidden_dim=4,
+                                                     flow_blocks=2, flow_hidden=8),
+                    extra={key: value})
+    res = runner.invoke(main, ["score", "--checkpoint", str(tmp_path / "bad.ganf"),
+                               "--data", str(synth_dir / "series.csv"),
+                               "--out", str(tmp_path / "s")])
+    assert res.exit_code == 1, res.output
+    assert f"unusable config: {key} must be" in res.output
+    assert not (tmp_path / "s").exists()
 
 
 def test_export_graph_multiple_writes_weight_matrix(runner, trained_dir, tmp_path):

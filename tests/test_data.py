@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from csv_reference import load_csv_rows
 from synth_reference import ground_truth_dag_calls, synth_generate_per_node
 from ganf.dag import acyclicity, is_acyclic
-from ganf.data import (DataError, SynthSpec, _ground_truth_dag, fit_norm_stats,
-                       inject_anomalies, inject_series_anomalies, load_csv, make_windows,
-                       normalize, read_labels_csv, read_window_csv, split_windows,
-                       synth_generate, write_labels_csv, write_series_csv)
+from ganf.data import (SYNTH_SETTINGS, DataError, SynthSpec, _ground_truth_dag,
+                       check_settings, fit_norm_stats, inject_anomalies,
+                       inject_series_anomalies, load_csv, make_windows, normalize,
+                       read_labels_csv, read_window_csv, split_windows, synth_generate,
+                       write_labels_csv, write_series_csv)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -431,6 +433,28 @@ def test_synth_bad_spec_raises_data_error(fields, length, match):
         synth_generate(SynthSpec(**fields), length, seed=0)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("anomaly_magnitude", math.nan), ("anomaly_magnitude", math.inf),
+    ("anomaly_start_frac", math.nan), ("anomaly_start_frac", 1.5), ("rho", math.inf),
+    ("noise_std", -math.inf), ("weight_low", math.nan), ("edge_prob", "0.5"),
+    ("anomaly_rate", True), ("n_series", True), ("n_attrs", 2.0), ("window_len", 2.5),
+    ("stride", "20"), ("anomaly_type", None),
+])
+def test_synth_spec_rejects_a_bad_setting_naming_it(key, value):
+    with pytest.raises(DataError, match=f"^{key} must be "):
+        synth_generate(SynthSpec(**{key: value}), 10, seed=0)
+
+
+def test_check_settings_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(DataError, match="^rho must be a finite number"):
+        check_settings({"rho": -10 ** 400}, SYNTH_SETTINGS)
+
+
+def test_synth_spec_rejects_an_unknown_key_naming_it():
+    with pytest.raises(TypeError, match="'anomaly_size'"):
+        SynthSpec(anomaly_size=3.0)
+
+
 @pytest.mark.parametrize("window_len, stride", [(0, 1), (5, 0), (5, -1)])
 def test_make_windows_nonpositive_setting_raises_data_error(window_len, stride):
     with pytest.raises(DataError, match=">= 1"):
@@ -438,8 +462,8 @@ def test_make_windows_nonpositive_setting_raises_data_error(window_len, stride):
 
 
 @pytest.mark.parametrize("fields, match", [
-    ({"anomaly_rate": 1.5}, "anomaly rate"), ({"anomaly_rate": -0.5}, "anomaly rate"),
-    ({"anomaly_rate": 0.0, "anomaly_type": "dip"}, "anomaly type")])
+    ({"anomaly_rate": 1.5}, "anomaly_rate"), ({"anomaly_rate": -0.5}, "anomaly_rate"),
+    ({"anomaly_rate": 0.0, "anomaly_type": "dip"}, "anomaly_type")])
 def test_inject_series_anomalies_bad_spec_raises_data_error(fields, match):
     spec = SynthSpec(n_series=2, **fields)
     with pytest.raises(DataError, match=match):

@@ -234,7 +234,7 @@ def test_score_windows_rejects_batch_size_below_one():
     model = _model()
     windows = np.zeros((5, 3, 4, 2))
     for size in (0, -1):
-        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
             model.score_windows(windows, batch_size=size)
 
 

@@ -46,6 +46,30 @@ def test_config_validation():
         TrainConfig(inner_epochs=0)
 
 
+# (field, value) pairs each TrainConfig field rule refuses: NaN, +-inf, a
+# bool, a float for an int, a numeric string and an unknown choice
+BAD_TRAIN_SETTINGS = [
+    ("lr", math.nan), ("lr", math.inf), ("lr", "0.001"), ("eta", math.inf), ("eta", math.nan),
+    ("h_tol", math.nan), ("h_tol", -math.inf), ("grad_clip", math.nan), ("grad_clip", math.inf),
+    ("lr_decay", math.nan), ("lr_decay", math.inf), ("gamma", math.nan), ("gamma", True),
+    ("hidden_dim", 32.0), ("hidden_dim", True), ("flow_blocks", "2"), ("flow_hidden", math.inf),
+    ("batch_size", 8.5), ("inner_epochs", math.nan), ("max_outer_iters", False),
+    ("plateau_patience", "3"), ("seed", 0.0), ("mode", True), ("flow_type", "MAF"),
+    ("clip_mode", None),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_TRAIN_SETTINGS)
+def test_train_config_rejects_a_bad_setting_naming_it(key, value):
+    with pytest.raises(DataError, match=f"^{key} must be "):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_rejects_an_unknown_key_naming_it():
+    with pytest.raises(TypeError, match="'inner_epoch'"):
+        TrainConfig(inner_epoch=2)
+
+
 def test_clip_global_norm():
     # gradient of norm 10 with clip 1.0 must be scaled by 0.1
     p = Tensor(np.zeros(4), requires_grad=True)
@@ -286,6 +310,26 @@ def test_checkpoint_malformed_contents_raise_checkpoint_error(tmp_path, forge, m
     bad = _forge(tmp_path / "bad.ganf", *forge(*_saved_parts(tmp_path / "good.ganf")))
     with pytest.raises(CheckpointError, match=message):
         checkpoint_load(bad)
+
+
+@pytest.mark.parametrize("part,key,value", [
+    ("config", "hidden_dim", 0), ("config", "hidden_dim", math.nan),
+    ("config", "n_series", math.inf), ("config", "input_dim", -math.inf),
+    ("config", "flow_blocks", 2.0), ("config", "seed", True), ("config", "flow_hidden", "8"),
+    ("config", "mode", "bogus"), ("config", "bogus", 1),
+    ("extra", "window_len", 7.9), ("extra", "window_len", True), ("extra", "window_len", "abc"),
+    ("extra", "gap_limit", -4), ("extra", "gap_limit", math.nan), ("extra", "stride", math.inf),
+    ("extra", "train_frac", -math.inf), ("extra", "val_frac", "0.2"),
+])
+def test_checkpoint_header_bad_setting_raises_checkpoint_error(tmp_path, part, key, value):
+    """A header config or window setting that breaks its rule, in a file whose
+    ``config_hash`` and digest both match, is a CheckpointError naming it."""
+    checkpoint_save(tmp_path / "good.ganf", _small_model(), extra={"window_len": 10})
+    header, payload = _saved_parts(tmp_path / "good.ganf")
+    header[part][key] = value
+    header["config_hash"] = _config_hash(header["config"])
+    with pytest.raises(CheckpointError, match=f"unusable config: .*{key}"):
+        checkpoint_load(_forge(tmp_path / "bad.ganf", header, payload))
 
 
 def test_checkpoint_flipped_payload_byte_fails_digest(tmp_path):
