@@ -119,10 +119,11 @@ def load_csv(path, gap_limit: int = GAP_LIMIT) -> tuple[np.ndarray, list[str], n
     earliest timestamp and its step is the smallest gap between distinct
     timestamps; a timestamp more than 1e-6 steps, plus its float rounding,
     off it is an error. A reading with a NaN in any attribute counts as
-    missing. Every error is a :class:`DataError`; per entity (in name order)
-    the first one found is a non-monotone timestamp, then a missing first
-    step, then a long gap.
+    missing. Every error is a :class:`DataError`, a ``gap_limit`` that is not
+    an integer >= 0 included; per entity (in name order) the first one found
+    is a non-monotone timestamp, then a missing first step, then a long gap.
     """
+    check_settings({"gap_limit": gap_limit}, WINDOW_SETTINGS)
     stamps: list[float] = []
     codes: list[int] = []       # entity of each row, in order of first appearance
     cells: list[float] = []     # attribute values, row after row
@@ -185,10 +186,9 @@ def load_csv(path, gap_limit: int = GAP_LIMIT) -> tuple[np.ndarray, list[str], n
     first[1:] = last[:-1] = ent[1:] != ent[:-1]
     no_first_step = np.ones(len(entities), dtype=bool)
     no_first_step[ent[first]] = pos[first] > 0
-    limit = max(gap_limit, 0)
     long_gap = np.zeros(len(entities), dtype=bool)
-    long_gap[ent[1:][~first[1:] & (np.diff(pos) - 1 > limit)]] = True
-    long_gap[ent[last][last_pos - pos[last] > limit]] = True
+    long_gap[ent[1:][~first[1:] & (np.diff(pos) - 1 > gap_limit)]] = True
+    long_gap[ent[last][last_pos - pos[last] > gap_limit]] = True
     bad = np.flatnonzero(non_monotone | no_first_step | long_gap)
     if bad.size:
         e = bad[0]

@@ -93,8 +93,9 @@ def encode_hidden(cell: LstmCell, x: np.ndarray) -> Tensor:
     """Unroll the shared cell over a (B, n, T, D) batch as one tape op.
 
     Returns a (T, B*n, hidden) tensor whose step t is ``out[t]``; zero
-    initial state. The input projection of all steps, bias included, is
-    one GEMM per gate, and sigmoid is computed as 0.5 * (1 + tanh(x / 2)).
+    initial state. Each step's input projection, bias included, is made
+    inside the recurrence into one reused buffer, so a pass with no tape
+    holds one step of gates; sigmoid is computed as 0.5 * (1 + tanh(x / 2)).
     The backward pass is backpropagation through time over the cached gates.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -110,7 +111,7 @@ def encode_hidden(cell: LstmCell, x: np.ndarray) -> Tensor:
     w_x = _split_gates(np.vstack([cell.w_x.data, cell.b.data]))
     w_h = _split_gates(cell.w_h.data)                    # gate k is h @ w_h[k] + ...
     # the sigmoid gates take tanh(x / 2); halving is exact, so it is folded in
-    pre = np.matmul(xs, w_x * _HALF).reshape(4, t_len, rows, hd)
+    w_x_half = w_x * _HALF
     w_h_half = w_h * _HALF
     # without a tape only the current step is kept
     kept = t_len if recording(cell.w_x, cell.w_h, cell.b) else 1
@@ -118,13 +119,15 @@ def encode_hidden(cell: LstmCell, x: np.ndarray) -> Tensor:
     cs = np.empty((kept, rows, hd))
     tcs = np.empty((kept, rows, hd))
     hs = np.empty((t_len, rows, hd))
+    proj = np.empty((4, rows, hd))                       # step t's input projection
     h = np.zeros((rows, hd))
     c = np.zeros((rows, hd))
     for t in range(t_len):
         k = t % kept
         y = gates[k]
+        np.matmul(xs[t * rows:(t + 1) * rows], w_x_half, out=proj)
         np.matmul(h, w_h_half, out=y)
-        y += pre[:, t]
+        y += proj
         np.tanh(y, out=y)
         y[:3] *= 0.5
         y[:3] += 0.5
@@ -135,6 +138,10 @@ def encode_hidden(cell: LstmCell, x: np.ndarray) -> Tensor:
 
     def vjp(g):
         dy = np.empty((4, t_len, rows, hd))
+        # step t's gate gradients are gathered into one (rows, 4 * hidden)
+        # block, so dh is one GEMM against w_h stacked by gate
+        block = np.empty((rows, 4, hd))
+        w_h_stacked = w_h.transpose(0, 2, 1).reshape(4 * hd, hd)
         dh = np.zeros((rows, hd))
         dc = np.zeros((rows, hd))
         for t in range(t_len - 1, -1, -1):
@@ -150,7 +157,8 @@ def encode_hidden(cell: LstmCell, x: np.ndarray) -> Tensor:
             np.multiply(dc, y[0], out=d[3])
             d[:3] *= y[:3] * (1.0 - y[:3])
             d[3] *= 1.0 - y[3] * y[3]
-            dh = np.tensordot(d, w_h, axes=([0, 2], [0, 2]))
+            block.transpose(1, 0, 2)[...] = d
+            np.matmul(block.reshape(rows, -1), w_h_stacked, out=dh)
             dc *= y[1]
         g_wx = _join_gates(np.matmul(xs.T, dy.reshape(4, -1, hd)))
         g_wh = np.matmul(hs[:-1].reshape(-1, hd).T, dy[:, 1:].reshape(4, -1, hd))
@@ -192,7 +200,7 @@ def encode_dependencies(params: EncoderParams, hidden: Tensor | Sequence[Tensor]
         ah = np.matmul(ad, hn).reshape(-1, d)       # T*B products A H_t in one call
     pre = (ah @ w1).reshape(h.shape)
     pre[1:] += h[:-1] @ w2                           # H_0 = 0: step 0 has no history term
-    r = np.maximum(pre, 0.0).reshape(-1, d)
+    r = np.maximum(pre, 0.0, out=pre).reshape(-1, d)
 
     def vjp(g):
         g = g.reshape(-1, d)

@@ -89,7 +89,9 @@ class Adam:
 
 
 def clip_gradients(params: dict[str, Tensor], clip: float, mode: str = "global") -> float:
-    """Clip gradients in place; returns the pre-clip global norm."""
+    """Clip gradients in place; returns the pre-clip global norm. ``mode`` is
+    one of :data:`CLIP_MODES`."""
+    check_settings({"clip_mode": mode}, {"clip_mode": CLIP_MODES})
     grads = [p.grad for p in params.values() if p.grad is not None]
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if mode == "global":
@@ -97,11 +99,9 @@ def clip_gradients(params: dict[str, Tensor], clip: float, mode: str = "global")
             scale = clip / total
             for g in grads:
                 g *= scale
-    elif mode == "elementwise":
+    else:
         for g in grads:
             np.clip(g, -clip, clip, out=g)
-    else:
-        raise ValueError(f"unknown clip mode {mode!r}")
     return total
 
 

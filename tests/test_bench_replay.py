@@ -1,7 +1,10 @@
 """``perfbench/layers.replay``, run only by ``--trace 1``, is the one caller of
 ``tensor.concat``, ``Tensor`` iteration and ``encode_dependencies``' list input:
-a tiny replay here catches a change to ``src/`` that breaks it."""
+a tiny replay here catches a change to ``src/`` that breaks it. The committed
+``BENCH_*.json`` measurements are checked for the setting they were taken in."""
+import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -28,3 +31,17 @@ def test_layer_replay_metrics_are_finite(tmp_path):
                             tmp_path / "checkpoint.ganf", csv_path)
     assert metrics
     assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
+
+
+def test_committed_bench_files_record_their_setting():
+    """Each measurements file names the CPU count, the BLAS thread count, the
+    NumPy version and the parent commit it was measured against."""
+    paths = sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        env, git = record.get("environment", {}), record.get("git", {})
+        assert isinstance(env.get("nproc"), int) and env["nproc"] >= 1, path.name
+        assert isinstance(env.get("blas_threads"), int) and env["blas_threads"] >= 1, path.name
+        assert isinstance(env.get("numpy"), str) and env["numpy"], path.name
+        assert re.fullmatch(r"[0-9a-f]{7,40}", str(git.get("parent"))), path.name

@@ -49,6 +49,14 @@ def test_load_csv_long_gap_rejected(tmp_path):
         load_csv(_write(tmp_path, "\n".join(rows)), gap_limit=2)
 
 
+@pytest.mark.parametrize("gap_limit", [-1, 2.5])
+def test_load_csv_rejects_a_bad_gap_limit_naming_it(tmp_path, gap_limit):
+    # a gap of one step, which any gap_limit of at least 1 fills and 0 refuses
+    rows = ["timestamp,entity,attr_1", "0,a,1.0", "2,a,2.0", "3,a,3.0"]
+    with pytest.raises(DataError, match="gap_limit must be an integer >= 0"):
+        load_csv(_write(tmp_path, "\n".join(rows)), gap_limit=gap_limit)
+
+
 def test_load_csv_non_monotone_names_entity(tmp_path):
     rows = ["timestamp,entity,attr_1", "1,bad,1.0", "0,bad,2.0"]
     with pytest.raises(DataError, match="bad"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,13 +218,30 @@ def test_fused_aggregation_matches_tape_reference(d_in):
     _assert_close(got[:-1] + list(got[-1]), want)
 
 
-def test_hidden_same_with_and_without_tape():
-    cell, _ = _perturbed_encoder(1, 4, 60)
-    x = _rng(61).normal(size=(1, 2, 7, 1))
+@pytest.mark.parametrize("hidden", [4, 8, 32])
+@pytest.mark.parametrize("b,n", [(1, 2), (64, 5), (16, 512)])
+def test_hidden_same_with_and_without_tape(hidden, b, n):
+    cell, _ = _perturbed_encoder(1, hidden, 60)
+    x = _rng(61).normal(size=(b, n, 7, 1))
     # the same values whether or not the activations are kept for a backward pass
     with GradientTape():
         kept = encode_hidden(cell, x).data
     np.testing.assert_array_equal(encode_hidden(cell, x).data, kept)
+
+
+def test_tape_free_hidden_keeps_no_buffer_over_all_steps_of_the_gates():
+    """A default 64-window scoring batch (B*n = 320, T = 20, hidden 32) peaks
+    below one (4, T, B*n, hidden) array: the input projection is made one step
+    at a time."""
+    cell, _ = _perturbed_encoder(1, 32, 62)
+    x = _rng(63).normal(size=(64, 5, 20, 1))
+    tracemalloc.start()
+    try:
+        encode_hidden(cell, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 20 * 320 * 32 * 8, peak
 
 
 @pytest.mark.parametrize("n,hidden", [(NODE_MAJOR_MIN_N - 1, 8), (NODE_MAJOR_MIN_N, 8),

@@ -273,6 +273,18 @@ def test_default_batching_is_byte_equal_to_64_window_batches(shape, count):
     assert by_work[1].tobytes() == by_count[1].tobytes()
 
 
+def test_scores_are_the_bytes_of_the_taped_pass():
+    """A default 64-window scoring batch, which keeps one step of the LSTM's
+    gates, scores the bytes of the taped pass, which keeps all T."""
+    model = _perturb(GanfModel(n_series=5, input_dim=1, hidden_dim=32, seed=4))
+    windows = np.random.default_rng(26).normal(size=(64, 5, 20, 1))
+    totals, per_series = model.score_windows(windows, batch_size=64, workers=1)
+    with GradientTape():
+        taped = -model.per_step_log_prob(windows).data.sum(axis=2)
+    assert per_series.tobytes() == taped.tobytes()
+    assert totals.tobytes() == taped.sum(axis=1).tobytes()
+
+
 _BATCH_ROWS = [   # (n_windows, t_len, n_series, width, want, mode)
     (61, 4, 512, 8, 11, "no-graph"),      # cap 12: six batches, the last of 6
     (16, 4, 512, 8, 8, "no-graph"),

@@ -93,6 +93,15 @@ def test_clip_elementwise():
     np.testing.assert_array_equal(p.grad, [-1.0, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("mode", ["bogus", "Global", None])
+def test_clip_unknown_mode_raises_before_scaling(mode):
+    p = Tensor(np.zeros(4), requires_grad=True)
+    p.grad = np.full(4, 5.0)            # norm 10, above the clip
+    with pytest.raises(DataError, match="clip_mode must be one of"):
+        clip_gradients({"p": p}, 1.0, mode)
+    np.testing.assert_array_equal(p.grad, np.full(4, 5.0))
+
+
 def test_adam_moment_shapes_mirror_parameters():
     rng = np.random.default_rng(0)
     params = {"w": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
