@@ -235,8 +235,8 @@ def cmd_score(ckpt_path, data_csv, window_len, stride, out_dir):
                        "stride": stride, **record})
     dat.write_csv(out / "scores.csv",
                   ["window_start", "score"] + [f"series_{i}" for i in range(per_series.shape[1])],
-                  ([s, tot, *row] for s, tot, row in zip(starts.tolist(), totals.tolist(),
-                                                         per_series.tolist())))
+                  ([s, tot, *row.tolist()] for s, tot, row in zip(starts.tolist(),
+                                                                  totals.tolist(), per_series)))
     with open(out / "summary.json", "w") as fh:
         json.dump({"n_windows": len(starts), "windows_per_s": len(starts) / seconds,
                    **record}, fh, indent=2)

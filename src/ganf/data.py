@@ -11,6 +11,7 @@ import itertools
 import math
 import numbers
 import sys
+from array import array
 from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -124,32 +125,36 @@ def load_csv(path, gap_limit: int = GAP_LIMIT) -> tuple[np.ndarray, list[str], n
     is a non-monotone timestamp, then a missing first step, then a long gap.
     """
     check_settings({"gap_limit": gap_limit}, WINDOW_SETTINGS)
-    stamps: list[float] = []
     codes: list[int] = []       # entity of each row, in order of first appearance
-    cells: list[float] = []     # attribute values, row after row
+    table = array("d")          # each row's timestamp then its values, 8 bytes each
+    block: list[float] = []     # the floats parsed since the last move into table
     index: dict[str, int] = {}
     with closing(_csv_rows(path, lambda h: len(h) >= 3 and h[:2] == ["timestamp", "entity"],
                            "timestamp,entity,attr_1,...")) as rows:
         width = len(next(rows))
         for line, row in rows:
             try:
-                stamps.append(float(row[0]))
+                block.append(float(row[0]))
             except ValueError:
                 raise DataError(f"{path}: line {line}: non-numeric "
                                 f"timestamp {row[0]!r}") from None
             try:
-                cells.extend(map(float, row[2:]))
+                block.extend(map(float, row[2:]))
             except ValueError:
                 raise DataError(f"{path}: line {line}: non-numeric "
                                 f"value in {row[2:]}") from None
             codes.append(index.setdefault(row[1], len(index)))
+            if len(block) >= 4096:
+                table.fromlist(block)
+                block.clear()
+        table.fromlist(block)
 
-    if not stamps:
+    if not codes:
         raise DataError(f"{path}: no data rows")
-    ts = np.asarray(stamps)
+    table = np.asarray(table).reshape(len(codes), width - 1)
+    ts, vals = table[:, 0], table[:, 1:]
     if not np.isfinite(ts).all():
         raise DataError(f"{path}: non-finite timestamp")
-    vals = np.asarray(cells).reshape(len(ts), width - 2)
     entities = sorted(index)
     rank = np.empty(len(entities), dtype=np.int64)
     rank[[index[e] for e in entities]] = np.arange(len(entities))
@@ -214,9 +219,9 @@ def make_windows(series: np.ndarray, window_len: int,
                  stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding windows over an (n, L, D) series.
 
-    Returns (windows (N, n, T, D), start indices (N,)), the windows one
-    contiguous copy of a strided view of ``series``. A window length or
-    stride that is not an integer >= 1 is a :class:`DataError`.
+    Returns (windows (N, n, T, D), start indices (N,)), the windows a read-only
+    strided view that aliases a float64 ``series``: copy it before writing. A
+    window length or stride that is not an integer >= 1 is a :class:`DataError`.
     """
     check_settings({"window_len": window_len, "stride": stride}, WINDOW_SETTINGS)
     series = np.asarray(series, dtype=np.float64)
@@ -226,7 +231,7 @@ def make_windows(series: np.ndarray, window_len: int,
     starts = np.arange(0, length - window_len + 1, stride)
     # (n, N, D, T) view -> (N, n, T, D)
     view = sliding_window_view(series, window_len, axis=1)[:, ::stride]
-    return np.ascontiguousarray(view.transpose(1, 0, 3, 2)), starts
+    return view.transpose(1, 0, 3, 2), starts
 
 
 @dataclass
@@ -236,8 +241,8 @@ class NormStats:
     std: np.ndarray           # (n, D)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """z-score an (n, L, D) series or an (N, n, T, D) stack of windows."""
-        return (x - self.mean[:, None]) / self.std[:, None]
+        """z-score an (n, L, D) series or an (N, n, T, D) stack of windows, in C order."""
+        return np.subtract(x, self.mean[:, None], order="C") / self.std[:, None]
 
 
 @dataclass

@@ -123,9 +123,9 @@ class GanfModel:
         """Tape tensor of per-step conditional log-densities, shaped (B, n_eff, T)."""
         x = self._fold(x)
         b, n, t_len, d_in = x.shape
-        hidden = encode_hidden(self.cell, x)
-        a_masked = mul(self.adjacency, Tensor(self._offdiag))
-        deps = encode_dependencies(self.enc, hidden, a_masked, b, n)
+        # the LSTM output has no name here, so without a tape it is freed before the flow
+        deps = encode_dependencies(self.enc, encode_hidden(self.cell, x),
+                                   mul(self.adjacency, Tensor(self._offdiag)), b, n)
         x_rows = Tensor(np.ascontiguousarray(
             x.transpose(2, 0, 1, 3).reshape(t_len * b * n, d_in)))
         d_rows = reshape(deps, (t_len * b * n, self.hidden_dim))  # t-major, matching x_rows

@@ -224,8 +224,11 @@ def test_make_windows_matches_stacked_slices(shape, window_len, stride):
     series = np.random.default_rng(8).normal(size=shape)
     w, starts = make_windows(series, window_len, stride)
     ref = np.stack([series[:, s:s + window_len, :] for s in starts])
-    assert w.flags.c_contiguous and w.shape == ref.shape
-    assert w.tobytes() == ref.tobytes()
+    # a read-only view of the series: no window is copied, and none can be written
+    assert np.shares_memory(w, series) and not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0, 0, 0] = 1.0
+    assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
 
 
 def test_make_windows_too_short():
@@ -274,6 +277,9 @@ def test_normalize_statistics():
     series = rng.normal(3.0, 2.5, size=(2, 200, 1))
     w, starts = make_windows(series, 10, 10)
     split = normalize(split_windows(w, starts))
+    # the windows are a view of the series; the normalized ones are C-order copies
+    assert all(part.flags.c_contiguous and not np.shares_memory(part, series)
+               for part in (split.train, split.validation, split.test))
     flat = split.train.transpose(1, 0, 2, 3).reshape(2, -1)
     assert np.max(np.abs(flat.mean(axis=1))) < 1e-10
     assert np.max(np.abs(flat.std(axis=1) - 1.0)) < 1e-10
@@ -404,6 +410,26 @@ def _sha256(*arrays) -> str:
 def test_synth_bytes_pinned(spec, length, seed, expected):
     """SHA-256 of (series, adjacency) as the per-node NumPy sampler gave them."""
     assert _sha256(*synth_generate(spec, length, seed)) == expected
+
+
+def test_load_csv_holds_no_python_object_per_value(tmp_path):
+    """A wide CSV (D = 16) is read into typed arrays of 8 bytes a value: the
+    traced peak stays under six times the values returned, where a list of
+    floats (about 32 bytes a value) reaches eight."""
+    rng = np.random.default_rng(27)
+    rows = ["timestamp,entity," + ",".join(f"attr_{i + 1}" for i in range(16))]
+    rows += [f"{t},e{e}," + ",".join(f"{v:.6f}" for v in rng.normal(size=16))
+             for t in range(2000) for e in range(4)]
+    path = _write(tmp_path, "\n".join(rows))
+    del rows
+    tracemalloc.start()
+    try:
+        values = load_csv(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (4, 2000, 16)
+    assert peak < 6 * values.nbytes, peak / values.nbytes
 
 
 def test_synth_extra_memory_bounded():
