@@ -309,12 +309,16 @@ def cmd_export_graph(checkpoints, epsilon, out_dir):
     """Threshold adjacency matrices into edge lists (JSON + DOT).
 
     With several checkpoints, additionally writes an edge-weight matrix CSV
-    with one row per checkpoint, for drift inspection over shifted windows.
+    with one row per checkpoint, for drift inspection over shifted windows;
+    the checkpoints must then share one series count.
     """
     try:
         matrices = [checkpoint_load(path).adjacency.data for path in checkpoints]
     except CheckpointError as exc:
         _fail(exc)
+    if len({a.shape for a in matrices}) > 1:
+        raise click.UsageError("checkpoints differ in series count: " + ", ".join(
+            f"{path} has n = {a.shape[0]}" for path, a in zip(checkpoints, matrices)))
     out = Path(out_dir)
     _echo_config(out, {"command": "export-graph", "epsilon": epsilon,
                        "checkpoints": [str(p) for p in checkpoints]})

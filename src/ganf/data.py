@@ -527,7 +527,8 @@ def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
     integer window start followed by numbers.
 
     Returns (window starts (N,), the other columns (N, width - 1)). Every
-    problem is a :class:`DataError` naming the file and, for a row, its line.
+    problem, a nan or inf value included, is a :class:`DataError` naming the
+    file and, for a row, its line.
     """
     starts: list[int] = []
     values: list[list[float]] = []
@@ -539,6 +540,8 @@ def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
                 values.append([float(v) for v in row[1:]])
             except ValueError:
                 raise DataError(f"{path}: line {line}: non-numeric value in {row}") from None
+            if not all(map(math.isfinite, values[-1])):
+                raise DataError(f"{path}: line {line}: non-finite value in {row}")
     try:
         start_array = np.array(starts, dtype=np.int64)
     except OverflowError:

@@ -5,15 +5,16 @@ Every block maps (x in R^D, condition in R^c) -> (z in R^D, logdet) with
 z_i = (x_i - mu_i) * exp(alpha_i). Final mu/alpha layers are zero-initialized
 so each block starts as the identity; alpha is soft-clamped to +-ALPHA_CLAMP.
 
-A stack call builds the blocks' shared operand [d, 1] once. Its forward
-pass runs in NumPy (each block's ``_conditioner``) and is recorded as one
-tape op per call, whose backward pass walks the blocks in reverse with
-each block's hand-written ``_conditioner_vjp``.
+A stack call builds the blocks' shared operand [d, 1] once and runs its
+pass in NumPy (each block's ``_conditioner``). ``FlowStack.log_prob`` is the
+one call recorded on a tape, as one op whose backward pass walks the blocks
+in reverse with each block's hand-written ``_conditioner_vjp``;
+``forward`` and ``inverse`` only evaluate.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,7 +113,6 @@ class MafBlock(_Block):
                  rng: np.random.Generator):
         self.input_dim = input_dim
         self.cond_dim = cond_dim
-        self.hidden = hidden
         self.mask_in, self.mask_out = _made_masks(input_dim, hidden)
         fan = input_dim + cond_dim
         self.w_x = Tensor(_uniform_init(rng, fan, (input_dim, hidden)), requires_grad=True)
@@ -229,18 +229,6 @@ def _params(blocks: Sequence[_Block]) -> list[Tensor]:
     return [getattr(block, k) for block in blocks for k in block._PARAMS]
 
 
-def _emit_run(blocks: Sequence[_Block], flip: bool, x: Tensor, d: Tensor,
-              dd: np.ndarray, out: np.ndarray, caches,
-              upstream: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> Tensor:
-    """Record ``out`` as one op; ``upstream`` maps its gradient to (dL/dz, dL/dlogdet)."""
-
-    def vjp(g):
-        g_x, g_d, grads = _run_vjp(blocks, flip, caches, dd, *upstream(g))
-        return (g_x, g_d, *grads)
-
-    return _emit([x, d, *_params(blocks)], out, vjp)
-
-
 class FlowStack:
     """Stacked conditional flow blocks with dimension reversal in between.
 
@@ -253,7 +241,6 @@ class FlowStack:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dim = input_dim
         self.cond_dim = cond_dim
-        self.kind = kind
         make = {"maf": lambda k: MafBlock(input_dim, cond_dim, hidden, rng),
                 "coupling": lambda k: CouplingBlock(input_dim, cond_dim, hidden, rng, k)}[kind]
         self.blocks = [make(k) for k in range(n_blocks)]
@@ -275,14 +262,10 @@ class FlowStack:
             raise ShapeError(f"flow expects {self.cond_dim} condition dims, got {d_cols}")
 
     def forward(self, x: Tensor, d: Tensor) -> tuple[Tensor, Tensor]:
-        """(z, total logdet) for a batch of rows, as two tape ops over one pass."""
+        """(z, total logdet) for a batch of rows; never recorded on a tape."""
         self._check(x.shape[-1], d.shape[-1])
-        blocks, flip, dd = self.blocks, self._flip, _with_ones(d.data)
-        z, logdet, caches = _run(blocks, flip, x.data, dd, recording(x, d, *_params(blocks)))
-        z_t = _emit_run(blocks, flip, x, d, dd, z, caches,
-                        lambda g: (g, np.zeros_like(logdet)))
-        return z_t, _emit_run(blocks, flip, x, d, dd, logdet, caches,
-                              lambda g: (np.zeros_like(z), g))
+        z, logdet, _ = _run(self.blocks, self._flip, x.data, _with_ones(d.data), keep=False)
+        return Tensor(z), Tensor(logdet)
 
     def inverse(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -303,8 +286,12 @@ class FlowStack:
 
         Outside a tape the same pass runs and keeps no caches."""
         self._check(x.shape[-1], d.shape[-1])
-        dd = _with_ones(d.data)
-        z, logdet, caches = _run(self.blocks, self._flip, x.data, dd,
-                                 recording(x, d, *_params(self.blocks)))
-        return _emit_run(self.blocks, self._flip, x, d, dd, self._log_q(z) + logdet,
-                         caches, lambda g: (-g[:, None] * z, g))
+        blocks, flip, dd = self.blocks, self._flip, _with_ones(d.data)
+        inputs = [x, d, *_params(blocks)]
+        z, logdet, caches = _run(blocks, flip, x.data, dd, recording(*inputs))
+
+        def vjp(g):
+            g_x, g_d, grads = _run_vjp(blocks, flip, caches, dd, -g[:, None] * z, g)
+            return (g_x, g_d, *grads)
+
+        return _emit(inputs, self._log_q(z) + logdet, vjp)

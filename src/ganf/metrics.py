@@ -28,7 +28,6 @@ def smooth_labels(window_starts: np.ndarray, anomaly_starts: np.ndarray,
 
 @dataclass
 class RocResult:
-    thresholds: np.ndarray
     tpr: np.ndarray
     fpr: np.ndarray
     auc: float
@@ -47,8 +46,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
     if scores.shape != labels.shape:
         raise ValueError(f"scores and labels differ in length: "
                          f"{scores.shape[0]} vs {labels.shape[0]}")
-    if np.any((labels < 0) | (labels > 1)):
+    if not np.all((labels >= 0) & (labels <= 1)):
         raise ValueError("labels must lie in [0, 1]")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     pos = labels.sum()
     neg = (1.0 - labels).sum()
     if pos <= 0 or neg <= 0:
@@ -64,9 +65,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocResult:
     fp = np.cumsum(1.0 - p_sorted)[idx]
     tpr = np.concatenate([[0.0], tp / pos])
     fpr = np.concatenate([[0.0], fp / neg])
-    thresholds = np.concatenate([[np.inf], s_sorted[idx]])
     auc = float(np.trapezoid(tpr, fpr))
-    return RocResult(thresholds=thresholds, tpr=tpr, fpr=fpr, auc=auc)
+    return RocResult(tpr=tpr, fpr=fpr, auc=auc)
 
 
 def shd(pred_edges, true_edges) -> int:

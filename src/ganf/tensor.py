@@ -215,14 +215,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)))
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
+        if axis is not None:
+            axes = axis if isinstance(axis, tuple) else (axis,)
             for ax in sorted(ax % a.ndim for ax in axes):
                 g = np.expand_dims(g, ax)
         return (np.broadcast_to(g, a.shape).copy(),)
@@ -230,9 +228,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit([a], out, vjp)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes) -> Tensor:
     out = np.transpose(a.data, axes)
-    inv = None if axes is None else np.argsort(axes)
+    inv = np.argsort(axes)
 
     def vjp(g):
         return (np.transpose(g, inv),)

@@ -1,7 +1,9 @@
 """``perfbench/layers.replay``, run only by ``--trace 1``, is the one caller of
 ``tensor.concat``, ``Tensor`` iteration and ``encode_dependencies``' list input:
-a tiny replay here catches a change to ``src/`` that breaks it. The committed
-``BENCH_*.json`` measurements are checked for the setting they were taken in."""
+a tiny replay here catches a change to ``src/`` that breaks it, and wrapping
+``layers.TARGETS`` catches a traced name that ``src/`` deletes or renames. The
+committed ``BENCH_*.json`` measurements are checked for the setting they were
+taken in."""
 import json
 import math
 import re
@@ -13,6 +15,7 @@ import numpy as np
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
+from spans import Tracer  # noqa: E402
 from ganf.data import write_series_csv  # noqa: E402
 from ganf.model import GanfModel  # noqa: E402
 
@@ -31,6 +34,18 @@ def test_layer_replay_metrics_are_finite(tmp_path):
                             tmp_path / "checkpoint.ganf", csv_path)
     assert metrics
     assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
+
+
+def test_instrument_wraps_every_target_and_unwraps_to_the_original():
+    originals = [getattr(owner, attr) for owner, attr, _ in layers.TARGETS]
+    tracer = Tracer()
+    layers.instrument(tracer)
+    try:
+        wrapped = [getattr(owner, attr) for owner, attr, _ in layers.TARGETS]
+    finally:
+        tracer.unwrap_all()
+    assert all(w is not o and w.__wrapped__ is o for w, o in zip(wrapped, originals))
+    assert [getattr(owner, attr) for owner, attr, _ in layers.TARGETS] == originals
 
 
 def test_committed_bench_files_record_their_setting():

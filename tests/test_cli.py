@@ -477,6 +477,24 @@ def test_eval_malformed_file_exit_2(runner, tmp_path, name, text):
     assert not (tmp_path / "e" / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("name,value,mode", [("scores", "nan", "--hard"),
+                                             ("scores", "-inf", "--smooth"),
+                                             ("labels", "nan", "--hard"),
+                                             ("labels", "nan", "--smooth")])
+def test_eval_non_finite_value_exit_2(runner, tmp_path, name, value, mode):
+    """A nan or inf score or label is a data error naming its file and line:
+    not a histogram traceback, a NaN AUC in metrics.json or a dropped label."""
+    (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n10,2.0\n")
+    (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n10,1\n")
+    (tmp_path / f"{name}.csv").write_text(f"window_start,{name[:-1]}\n0,1\n10,{value}\n")
+    res = runner.invoke(main, ["eval", "--scores", str(tmp_path / "scores.csv"),
+                               "--labels", str(tmp_path / "labels.csv"),
+                               mode, "--out", str(tmp_path / "e")])
+    assert res.exit_code == 2, res.output
+    assert f"{name}.csv: line 3: non-finite value" in res.output
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("args", [["--bins", "0"], ["--bins", "-3"],
                                   ["--sigma", "0"], ["--sigma", "-1"], ["--sigma", "nan"],
                                   ["--sigma", "inf"]])
@@ -554,6 +572,20 @@ def test_export_graph_truncated_second_checkpoint_writes_nothing(runner, trained
     assert res.exit_code == 1, res.output
     assert "truncated.ganf" in res.output
     assert list(out.iterdir()) == []
+
+
+def test_export_graph_different_series_counts_exit_2_writing_nothing(runner, tmp_path):
+    paths = []
+    for n in (3, 5):
+        model = GanfModel(n_series=n, input_dim=1, hidden_dim=4, flow_blocks=2, flow_hidden=4)
+        model.adjacency.data[:] = 0.5
+        model.remask_diagonal()
+        paths.append(str(tmp_path / f"n{n}.ganf"))
+        checkpoint_save(paths[-1], model)
+    res = runner.invoke(main, ["export-graph", *paths, "--out", str(tmp_path / "g")])
+    assert res.exit_code == 2, res.output
+    assert "n3.ganf has n = 3" in res.output and "n5.ganf has n = 5" in res.output
+    assert not (tmp_path / "g").exists()
 
 
 def _input_args(trained_dir, synth_dir, tmp_path):

@@ -195,7 +195,6 @@ def test_fused_flow_matches_tape_reference(kind, dim, cond, blocks, hidden):
     x = Tensor(_rng(50).normal(size=(7, dim)), requires_grad=True)
     d = Tensor(_rng(51).normal(size=(7, cond)), requires_grad=True)
     w = Tensor(_rng(52).normal(size=7))
-    w_z = Tensor(_rng(53).normal(size=(7, dim)))
     leaves = [x, d, *stack.parameters().values()]
 
     def close(got, want):
@@ -205,16 +204,14 @@ def test_fused_flow_matches_tape_reference(kind, dim, cond, blocks, hidden):
     close([stack.log_prob(x, d).data], [flow_log_prob(stack, x, d).data])
     close(tape_grads(leaves, lambda: sum_(mul(stack.log_prob(x, d), w))),
           tape_grads(leaves, lambda: sum_(mul(flow_log_prob(stack, x, d), w))))
-    # forward's z and logdet are separate ops over one shared pass
-    for pick, weight in ((0, w_z), (1, w)):
-        close(tape_grads(leaves, lambda: sum_(mul(stack.forward(x, d)[pick], weight))),
-              tape_grads(leaves, lambda: sum_(mul(flow_forward(stack, x, d)[pick], weight))))
+    close([t.data for t in stack.forward(x, d)], [t.data for t in flow_forward(stack, x, d)])
     # every block alone, so a coupling stack checks both parities
     for block in stack.blocks:
-        close([t.data for t in _alone(block).forward(x, d)],
+        alone = _alone(block)
+        close([t.data for t in alone.forward(x, d)],
               [t.data for t in block_forward(block, x, d)])
-        close(tape_grads(leaves, lambda: sum_(mul(_alone(block).forward(x, d)[0], w_z))),
-              tape_grads(leaves, lambda: sum_(mul(block_forward(block, x, d)[0], w_z))))
+        close(tape_grads(leaves, lambda: sum_(mul(alone.log_prob(x, d), w))),
+              tape_grads(leaves, lambda: sum_(mul(flow_log_prob(alone, x, d), w))))
 
 
 @pytest.mark.parametrize("kind,dim", [("maf", 1), ("maf", 3), ("coupling", 1), ("coupling", 2)])
@@ -226,6 +223,17 @@ def test_log_prob_np_is_the_taped_value_bitwise(kind, dim):
     with GradientTape():
         taped = stack.log_prob(Tensor(x), Tensor(d, requires_grad=True)).data
     assert taped.tobytes() == stack.log_prob(Tensor(x), Tensor(d)).data.tobytes()
+
+
+def test_log_prob_is_the_one_taped_entry():
+    stack = _perturbed_stack(2, "maf", 90)
+    x = Tensor(_rng(91).normal(size=(4, 2)), requires_grad=True)
+    d = Tensor(_rng(92).normal(size=(4, 3)), requires_grad=True)
+    with GradientTape() as tape:
+        z, logdet = stack.forward(x, d)
+        assert len(tape) == 0 and not z.requires_grad and not logdet.requires_grad
+        stack.log_prob(x, d)
+        assert len(tape) == 1
 
 
 def _traced_peak(fn) -> int:

@@ -82,7 +82,7 @@ def test_roc_smoothed_binary_equals_hard():
 def test_roc_tied_scores_share_threshold():
     res = roc_auc(np.array([1.0, 1.0, 0.0, 0.0]), np.array([1, 0, 1, 0]))
     # the two tied top scores form one operating point at (0.5, 0.5)
-    assert len(res.thresholds) == 3
+    assert len(res.tpr) == 3
     assert abs(res.auc - 0.5) < 1e-12
 
 
@@ -101,6 +101,17 @@ def test_roc_length_mismatch():
 def test_roc_labels_outside_unit_interval():
     with pytest.raises(ValueError):
         roc_auc(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("scores,labels,match", [
+    pytest.param([1.0, np.nan, 3.0, 0.5], [0, 1, 0, 1], "scores must be finite", id="nan-score"),
+    pytest.param([1.0, np.inf, 3.0, 0.5], [0, 1, 0, 1], "scores must be finite", id="inf-score"),
+    pytest.param([1.0, 2.0, 3.0, 0.5], [0, np.nan, 0, 1], r"labels must lie in \[0, 1\]",
+                 id="nan-label")])
+def test_roc_rejects_non_finite_scores_and_nan_labels(scores, labels, match):
+    # NaN compares false both ways, so a range check written as a rejection lets it pass
+    with pytest.raises(ValueError, match=match):
+        roc_auc(np.array(scores), np.array(labels, dtype=float))
 
 
 def test_shd_identical():
