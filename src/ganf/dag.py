@@ -84,9 +84,16 @@ class LagrangianState:
         return cls(lam=float(rng.uniform(0.0, 1.0)), c=0.0, k=0, h_prev=None)
 
 
-def augmented_lagrangian(nll: Tensor, a: Tensor, state: LagrangianState) -> Tensor:
-    """L_c = nll + lam * h(A) + (c/2) * h(A)^2."""
-    h = acyclicity_tensor(a)
+def augmented_lagrangian(nll: Tensor, h: Tensor, state: LagrangianState) -> Tensor:
+    """L_c = nll + lam * h + (c/2) * h^2, ``h`` being the h(A) that
+    :func:`acyclicity_tensor` recorded.
+
+    An (n, n) ``h`` is taken as A itself, and its h(A) is recorded here.
+    perfbench/layers.py passes A, so this stays until the benchmark records
+    h(A) first, as ``training.train_step`` does.
+    """
+    if h.ndim == 2:
+        h = acyclicity_tensor(h)
     out = nll
     if state.lam != 0.0:
         out = out + mul(Tensor(state.lam), h)

@@ -522,16 +522,21 @@ def write_labels_csv(path, starts: np.ndarray, labels: np.ndarray):
               zip(*np.asarray([starts, labels], dtype=np.int64).tolist()))
 
 
-def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def read_window_csv(path, header: list[str],
+                    within: tuple[float, float] = (-math.inf, math.inf),
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Read a CSV whose header starts with ``header`` and whose rows hold an
-    integer window start followed by numbers.
+    integer window start followed by numbers in the closed interval ``within``.
 
     Returns (window starts (N,), the other columns (N, width - 1)). Every
-    problem, a nan or inf value included, is a :class:`DataError` naming the
-    file and, for a row, its line.
+    problem, a nan or inf value, a value outside ``within`` and a window
+    start given twice included, is a :class:`DataError` naming the file and,
+    for a row, its line (both lines for a repeated start).
     """
+    low, high = within
     starts: list[int] = []
     values: list[list[float]] = []
+    line_of: dict[int, int] = {}
     with closing(_csv_rows(path, lambda h: h[:len(header)] == header, ",".join(header))) as rows:
         width = len(next(rows))
         for line, row in rows:
@@ -542,6 +547,13 @@ def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
                 raise DataError(f"{path}: line {line}: non-numeric value in {row}") from None
             if not all(map(math.isfinite, values[-1])):
                 raise DataError(f"{path}: line {line}: non-finite value in {row}")
+            if not all(low <= v <= high for v in values[-1]):
+                raise DataError(f"{path}: line {line}: value outside [{low:g}, {high:g}] "
+                                f"in {row}")
+            first = line_of.setdefault(starts[-1], line)
+            if first != line:
+                raise DataError(f"{path}: lines {first} and {line} both have "
+                                f"window_start {starts[-1]}")
     try:
         start_array = np.array(starts, dtype=np.int64)
     except OverflowError:
@@ -550,6 +562,6 @@ def read_window_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """(window starts, labels) from a ``window_start,label`` CSV."""
-    starts, values = read_window_csv(path, ["window_start", "label"])
+    """(window starts, labels) from a ``window_start,label`` CSV; labels lie in [0, 1]."""
+    starts, values = read_window_csv(path, ["window_start", "label"], within=(0.0, 1.0))
     return starts, values[:, 0]

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 if sys.platform.startswith("linux"):
-    # Replaying a tape frees a training step's activations at once. Keep them in the
-    # heap, which glibc would unmap or trim, so the next step does not fault them in.
+    # Replaying a tape frees a training step's activations layer by layer. Keep them in
+    # the heap, which glibc would unmap or trim, so the next step does not fault them in.
     # One arena: scoring threads reuse that heap instead of each faulting in its own.
     _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if _mallopt is not None:
@@ -157,22 +157,25 @@ class GradientTape:
             raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
         self._consumed = True
         flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for rec in reversed(self._records):
-            g = flowing.pop(id(rec.output), None)
-            if g is None:
-                continue
-            for inp, gin in zip(rec.inputs, rec.vjp(g)):
-                if gin is None or not inp.requires_grad:
-                    continue
-                if id(inp) in self._produced:
-                    prev = flowing.get(id(inp))
-                    flowing[id(inp)] = gin if prev is None else prev + gin
-                else:
-                    inp.grad = gin.copy() if inp.grad is None else inp.grad + gin
-        # the caller may keep the tape alive: dropping the records frees the
-        # activations now
-        self._records.clear()
+        while self._records:
+            self._replay(self._records.pop(), flowing)
         self._produced.clear()
+
+    def _replay(self, rec: _OpRecord, flowing: dict[int, np.ndarray]):
+        """Run one record's VJP. The record was popped, and nothing here outlives
+        the call, so the arrays it holds are freed (by reference counting)
+        before the next record's VJP allocates."""
+        g = flowing.pop(id(rec.output), None)
+        if g is None:
+            return
+        for inp, gin in zip(rec.inputs, rec.vjp(g)):
+            if gin is None or not inp.requires_grad:
+                continue
+            if id(inp) in self._produced:
+                prev = flowing.get(id(inp))
+                flowing[id(inp)] = gin if prev is None else prev + gin
+            else:
+                inp.grad = gin.copy() if inp.grad is None else inp.grad + gin
 
 
 def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,

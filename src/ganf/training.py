@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import dag
 from .dag import LagrangianState, acyclicity, augmented_lagrangian, dual_penalty_update
 from .data import WINDOW_SETTINGS, DataError, check_settings
 from .model import MODEL_SETTINGS, GanfModel
@@ -144,9 +145,12 @@ def train_step(model: GanfModel, batch: np.ndarray, optimizer: Adam, lr: float,
         p.zero_grad()
     tape = GradientTape()
     with tape:
+        # h(A) first, so that e^{A o A}'s workspace is freed before the
+        # forward pass allocates its activations (looked up on the module,
+        # where perfbench/layers.py's tracer wraps it)
+        h = None if lagrangian is None else dag.acyclicity_tensor(model.adjacency)
         nll = model.batch_nll(batch)
-        loss = nll if lagrangian is None else \
-            augmented_lagrangian(nll, model.adjacency, lagrangian)
+        loss = nll if h is None else augmented_lagrangian(nll, h, lagrangian)
     if not np.isfinite(loss.item()):
         raise NumericError("non-finite loss")
     tape.backward(loss)

@@ -1,6 +1,19 @@
+import tracemalloc
+
 import pytest
 
 from ganf import parallel
+
+
+def traced_peak(fn):
+    """(fn(), the most memory traced while it ran, in bytes, above what was traced before)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -18,6 +18,9 @@ import layers  # noqa: E402
 from spans import Tracer  # noqa: E402
 from ganf.data import write_series_csv  # noqa: E402
 from ganf.model import GanfModel  # noqa: E402
+import ganf.dag  # noqa: E402
+from ganf.dag import LagrangianState  # noqa: E402
+from ganf.training import Adam, TrainConfig, train_step  # noqa: E402
 
 
 def test_layer_replay_metrics_are_finite(tmp_path):
@@ -60,3 +63,23 @@ def test_committed_bench_files_record_their_setting():
         assert isinstance(env.get("blas_threads"), int) and env["blas_threads"] >= 1, path.name
         assert isinstance(env.get("numpy"), str) and env["numpy"], path.name
         assert re.fullmatch(r"[0-9a-f]{7,40}", str(git.get("parent"))), path.name
+
+
+def test_traced_constrained_step_records_h_and_its_exponential_where_in_situ_reads_them(
+        monkeypatch):
+    """``layers.in_situ`` times h(A) and e^{A o A} from the spans of a real
+    run, so a training step must call ``acyclicity_tensor`` through ``ganf.dag``
+    and build the exponential inside it."""
+    model = GanfModel(n_series=3, input_dim=1, hidden_dim=4, flow_blocks=2,
+                      flow_hidden=4, seed=5)
+    batch = np.random.default_rng(5).normal(size=(4, 3, 5, 1))
+    monkeypatch.setattr(ganf.dag, "_last_exp", None)   # no exponential kept from another test
+    tracer = Tracer()
+    layers.instrument(tracer)
+    try:
+        train_step(model, batch, Adam(), 1e-3, TrainConfig(),
+                   LagrangianState(lam=1.0, c=1.0))
+    finally:
+        tracer.unwrap_all()
+    assert len(tracer.durations("dag.acyclicity")) == 1
+    assert len(tracer.durations("matexp.expm", "dag.acyclicity")) == 1

@@ -464,7 +464,8 @@ def test_eval_empty_input_file_exit_2(runner, tmp_path, empty):
     ("scores", "window_start,score\n0\n"),
     ("scores", "window_start,score,s0\n0,1.0,oops\n"),
     ("labels", "window_start,label\n0,yes\n"),
-    ("labels", "window_start,label\n0\n")])
+    ("labels", "window_start,label\n0\n"),
+    ("labels", "window_start,label\n0,2\n")])
 def test_eval_malformed_file_exit_2(runner, tmp_path, name, text):
     (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n10,2.0\n")
     (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n10,1\n")
@@ -475,6 +476,21 @@ def test_eval_malformed_file_exit_2(runner, tmp_path, name, text):
     assert res.exit_code == 2, res.output
     assert f"{name}.csv: line 2" in res.output
     assert not (tmp_path / "e" / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("name", ["scores", "labels"])
+def test_eval_repeated_window_start_exit_2(runner, tmp_path, name):
+    """A file that gives one window twice is a data error naming both lines,
+    not a label or score silently kept over the other."""
+    (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n10,2.0\n")
+    (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n10,1\n")
+    (tmp_path / f"{name}.csv").write_text(f"window_start,{name[:-1]}\n0,0\n0,1\n10,1\n")
+    res = runner.invoke(main, ["eval", "--scores", str(tmp_path / "scores.csv"),
+                               "--labels", str(tmp_path / "labels.csv"),
+                               "--hard", "--out", str(tmp_path / "e")])
+    assert res.exit_code == 2, res.output
+    assert f"{name}.csv: lines 2 and 3 both have window_start 0" in res.output
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("name,value,mode", [("scores", "nan", "--hard"),

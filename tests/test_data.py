@@ -1,12 +1,12 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from csv_reference import load_csv_rows
 from synth_reference import ground_truth_dag_calls, synth_generate_per_node
 from ganf.dag import acyclicity, is_acyclic
@@ -422,12 +422,7 @@ def test_load_csv_holds_no_python_object_per_value(tmp_path):
              for t in range(2000) for e in range(4)]
     path = _write(tmp_path, "\n".join(rows))
     del rows
-    tracemalloc.start()
-    try:
-        values = load_csv(path)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    values, peak = traced_peak(lambda: load_csv(path)[0])
     assert values.shape == (4, 2000, 16)
     assert peak < 6 * values.nbytes, peak / values.nbytes
 
@@ -435,12 +430,7 @@ def test_load_csv_holds_no_python_object_per_value(tmp_path):
 def test_synth_extra_memory_bounded():
     length = 200_000
     spec = SynthSpec(n_series=5, edge_prob=0.5)
-    tracemalloc.start()
-    try:
-        series, _ = synth_generate(spec, length, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (series, _), peak = traced_peak(lambda: synth_generate(spec, length, seed=0))
     # the noise and the output arrays, plus one block of Python floats
     assert peak < 2.5 * series.nbytes, peak / series.nbytes
 
@@ -589,11 +579,21 @@ def test_read_labels_csv_empty_raises_data_error(tmp_path):
 @pytest.mark.parametrize("row,what", [
     ("20,yes", "line 3: non-numeric value"), ("x,1", "line 3: non-numeric value"),
     ("2.5,1", "line 3: non-numeric value"), ("20", "line 3 has 1 columns"),
-    ("20,1,0", "line 3 has 3 columns")])
+    ("20,1,0", "line 3 has 3 columns"), ("20,2", r"line 3: value outside \[0, 1\]"),
+    ("20,-1", r"line 3: value outside \[0, 1\]"), ("20,1.5", r"line 3: value outside \[0, 1\]")])
 def test_read_labels_csv_malformed_row_names_file_and_line(tmp_path, row, what):
     path = _write(tmp_path, "\n".join(["window_start,label", "0,0", row]), "labels.csv")
     with pytest.raises(DataError, match=f"labels.csv: {what}"):
         read_labels_csv(path)
+
+
+@pytest.mark.parametrize("header", ["window_start,label", "window_start,score,s0"])
+def test_read_window_csv_repeated_start_names_both_lines(tmp_path, header):
+    width = header.count(",")
+    rows = [f"{start}," + ",".join(["0"] * width) for start in (0, 10, 20, 10)]
+    path = _write(tmp_path, "\n".join([header, *rows]), "windows.csv")
+    with pytest.raises(DataError, match="windows.csv: lines 3 and 5 both have window_start 10"):
+        read_window_csv(path, header.split(",")[:2])
 
 
 _window_cell = st.one_of(st.text(max_size=6), st.floats().map(repr),

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from ganf.encoder import (NODE_MAJOR_MIN_N, ContractError, EncoderParams, LstmCe
                           encode_dependencies, encode_hidden, offdiag_mask)
 from ganf.parallel import _blas_pinned
 from ganf.tensor import GradientTape, ShapeError, Tensor, concat, mul, sum_
+from conftest import traced_peak
 from tape_reference import aggregate, lstm_step, lstm_unroll, tape_grads
 
 
@@ -235,12 +234,7 @@ def test_tape_free_hidden_keeps_no_buffer_over_all_steps_of_the_gates():
     at a time."""
     cell, _ = _perturbed_encoder(1, 32, 62)
     x = _rng(63).normal(size=(64, 5, 20, 1))
-    tracemalloc.start()
-    try:
-        encode_hidden(cell, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: encode_hidden(cell, x))
     assert peak < 4 * 20 * 320 * 32 * 8, peak
 
 

@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from ganf.flow import ALPHA_CLAMP, CouplingBlock, FlowStack, MafBlock, _made_masks
 from ganf.tensor import GradientTape, ShapeError, Tensor, mul, sum_
+from conftest import traced_peak
 from tape_reference import block_forward, flow_forward, flow_log_prob, tape_grads
 
 
@@ -236,16 +235,6 @@ def test_log_prob_is_the_one_taped_entry():
         assert len(tape) == 1
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_flow_memory_per_block():
     """No block copies the condition: a forward pass needs no memory per block,
     and the tape keeps about one hidden layer per block and row."""
@@ -262,7 +251,8 @@ def test_flow_memory_per_block():
                 loss = sum_(stack.log_prob(x_t, d_t))
             tape.backward(loss)
 
-        peaks[blocks] = (_traced_peak(lambda: stack.log_prob(x_t, d_t)), _traced_peak(taped))
+        peaks[blocks] = (traced_peak(lambda: stack.log_prob(x_t, d_t))[1],
+                         traced_peak(taped)[1])
     per_row = 8 * rows
     assert peaks[12][0] - peaks[2][0] < 2 * per_row
     assert (peaks[12][1] - peaks[2][1]) / 10 < (hidden + 8) * per_row

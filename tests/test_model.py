@@ -1,6 +1,5 @@
 import functools
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ganf.parallel
+from conftest import traced_peak
 from ganf.data import make_windows
 from ganf.model import DensityReport, GanfModel
 from ganf.tensor import GradientTape, NumericError, ShapeError, sum_
@@ -317,12 +317,7 @@ def test_scoring_batch_memory_stays_bounded_on_wide_graphs():
     """A 64-window pass at n = 64 holds a few windows' work at a time, not all 64."""
     model = GanfModel(n_series=64, input_dim=1, hidden_dim=32, flow_hidden=32, seed=0)
     windows = np.random.default_rng(25).normal(size=(64, 64, 20, 1))
-    tracemalloc.start()
-    try:
-        model.score_windows(windows, workers=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: model.score_windows(windows, workers=2))
     assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -334,12 +329,8 @@ def test_scoring_memory_does_not_grow_with_the_window_count():
     peaks = []
     for n_windows in (2000, 8000):
         series = np.random.default_rng(26).normal(size=(5, n_windows + 19, 1))
-        tracemalloc.start()
-        try:
-            model.score_windows(make_windows(series, 20, 1)[0], workers=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(
+            lambda: model.score_windows(make_windows(series, 20, 1)[0], workers=1))[1])
     assert peaks[1] - peaks[0] < 1e6, f"peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB"
 
 
@@ -349,12 +340,7 @@ def test_tape_free_pass_frees_the_lstm_output_before_the_flow():
     the flow's peak."""
     model = _perturb(GanfModel(n_series=5, input_dim=1, seed=0))
     x = np.random.default_rng(28).normal(size=(64, 5, 20, 1))
-    tracemalloc.start()
-    try:
-        model.per_step_log_prob(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: model.per_step_log_prob(x))
     assert peak < 7.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ganf.tensor import (GradientTape, ShapeError, Tensor, TapeStateError, add,
+from ganf.tensor import (GradientTape, ShapeError, Tensor, TapeStateError, _emit, add,
                          concat, mul, recording, reshape, slice_, sum_, transpose)
 from tape_reference import exp, matmul, relu, sigmoid, tanh
 
@@ -82,9 +82,30 @@ def test_backward_frees_activations_without_gc():
     np.testing.assert_allclose(x.grad, 2.0 * np.exp(2.0 * np.arange(4.0)))
 
 
+def test_backward_frees_each_record_before_the_next_vjp():
+    # a replayed record's activations are freed before the next VJP allocates,
+    # not when the whole replay ends
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    freed = []
+    gc.disable()
+    try:
+        with GradientTape() as tape:
+            # recorded first, so replayed last: it sees whether mul's operand is gone
+            y = _emit([x], 2.0 * x.data, lambda g: (freed.append(weights() is None) or 2.0 * g,))
+            w = Tensor(np.full(3, 0.5))
+            weights = weakref.ref(w.data)
+            loss = sum_(mul(y, w))
+        del w
+        tape.backward(loss)
+    finally:
+        gc.enable()
+    assert freed == [True]
+    np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap tuning")
 def test_replayed_tape_memory_is_reused_without_page_faults():
-    # backward frees every activation at once; the next step must get the same
+    # backward frees every activation; the next step must get the same
     # heap back instead of faulting fresh pages in (about 7,000 per step when
     # glibc trims the heap after each replay)
     import resource
