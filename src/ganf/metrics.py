@@ -16,14 +16,26 @@ class UndefinedAucError(ValueError):
 
 def smooth_labels(window_starts: np.ndarray, anomaly_starts: np.ndarray,
                   sigma: float = 6.0) -> np.ndarray:
-    """Soft labels p(t) = max_i exp(-(t - t_i)^2 / sigma^2)."""
+    """Soft labels p(t) = max_i exp(-(t - t_i)^2 / sigma^2).
+
+    Every sigma in (0, inf) gives labels in [0, 1]: a sigma^2 that overflows
+    reads as infinite (every label 1), and one that underflows to zero gives
+    the hard labels (1 at an anomaly start, 0 elsewhere).
+    """
     check_settings({"sigma": sigma}, {"sigma": "(0, inf)"})
     window_starts = np.asarray(window_starts, dtype=np.float64)
     anomaly_starts = np.asarray(anomaly_starts, dtype=np.float64)
     if anomaly_starts.size == 0:
         return np.zeros_like(window_starts)
     diffs = window_starts[:, None] - anomaly_starts[None, :]
-    return np.exp(-(diffs ** 2) / sigma ** 2).max(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        try:
+            scale = sigma ** 2
+        except OverflowError:   # a Python float's square raises where NumPy's is inf
+            scale = np.inf
+        # t = t_i is exp(0) = 1 whatever the scale, 0 / 0 included
+        ratio = np.divide(diffs ** 2, scale, out=np.zeros_like(diffs), where=diffs != 0)
+    return np.exp(-ratio).max(axis=1)
 
 
 @dataclass

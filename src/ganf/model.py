@@ -15,11 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .data import check_settings
-from .encoder import (EncoderParams, LstmCell, encode_dependencies,
-                      encode_hidden, offdiag_mask)
+from .encoder import EncoderParams, LstmCell, encode_dependencies, encode_hidden
 from .flow import FLOW_KINDS, FlowStack
 from .parallel import run_tasks, worker_count
-from .tensor import (NumericError, ShapeError, Tensor, mul, reshape, sum_,
+from .tensor import (NumericError, ShapeError, Tensor, _emit, mul, reshape, sum_,
                      transpose)
 
 MODES = ("graph", "no-graph", "full-chain")
@@ -30,6 +29,28 @@ SCORE_BATCH = 64   # most windows in one scoring batch
 # most (window x series x step x width) cells in one scoring batch: the
 # default model's 64-window batch (n=5, T=20, hidden and flow width 32)
 SCORE_CELLS = SCORE_BATCH * 5 * 20 * 32
+
+
+def _zero_diagonal(a: Tensor) -> Tensor:
+    """``a`` read with a zero diagonal, as one tape op.
+
+    The output is ``a``'s own buffer when its diagonal is already zero, as
+    :meth:`GanfModel.remask_diagonal` keeps it after every update; otherwise
+    (a hand-made checkpoint, a finite-difference probe) it is a copy with the
+    diagonal zeroed, whatever it held, NaN and inf included. The VJP zeroes
+    the gradient's diagonal.
+    """
+    data = a.data
+    if np.any(np.diagonal(data) != 0.0):
+        data = data.copy()
+        np.fill_diagonal(data, 0.0)
+
+    def vjp(g):
+        g = g.copy()
+        np.fill_diagonal(g, 0.0)
+        return (g,)
+
+    return _emit([a], data, vjp)
 
 
 @dataclass
@@ -70,7 +91,6 @@ class GanfModel:
             a0 = rng.uniform(-0.1, 0.1, size=a0.shape)
             np.fill_diagonal(a0, 0.0)
         self.adjacency = Tensor(a0, requires_grad=(mode == "graph"))
-        self._offdiag = offdiag_mask(self._n_eff)
         # header extras of the checkpoint this model was loaded from
         self.checkpoint_extra: dict = {}
 
@@ -125,7 +145,7 @@ class GanfModel:
         b, n, t_len, d_in = x.shape
         # the LSTM output has no name here, so without a tape it is freed before the flow
         deps = encode_dependencies(self.enc, encode_hidden(self.cell, x),
-                                   mul(self.adjacency, Tensor(self._offdiag)), b, n)
+                                   _zero_diagonal(self.adjacency), b, n)
         x_rows = Tensor(np.ascontiguousarray(
             x.transpose(2, 0, 1, 3).reshape(t_len * b * n, d_in)))
         d_rows = reshape(deps, (t_len * b * n, self.hidden_dim))  # t-major, matching x_rows

@@ -138,7 +138,9 @@ def train_step(model: GanfModel, batch: np.ndarray, optimizer: Adam, lr: float,
     """One Adam step on the batch NLL, plus the augmented Lagrangian's h(A)
     terms when ``lagrangian`` is given; returns (loss, NLL, pre-clip gradient norm).
 
-    Raises :class:`NumericError` before any update if the loss is not finite.
+    Every parameter's ``grad`` is dropped once Adam has used it, so no
+    gradient outlives its step. Raises :class:`NumericError` before any
+    update if the loss is not finite.
     """
     params = model.parameters()
     for p in params.values():
@@ -156,6 +158,8 @@ def train_step(model: GanfModel, batch: np.ndarray, optimizer: Adam, lr: float,
     tape.backward(loss)
     grad_norm = clip_gradients(params, config.grad_clip, config.clip_mode)
     optimizer.step(params, lr)
+    for p in params.values():
+        p.zero_grad()
     model.remask_diagonal()
     return loss.item(), nll.item(), grad_norm
 
@@ -214,6 +218,9 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray, config: TrainConfi
           ) -> tuple[GanfModel, np.ndarray, list[dict]]:
     """Full outer loop; returns (best model, adjacency, history).
 
+    The adjacency is the model's own array, ``model.adjacency.data``, not a
+    copy: writing to it changes the model.
+
     Stops when |h(A)| < h_tol or after ``max_outer_iters`` outer iterations
     (the latter flagged in the final record's warning). ``on_record``, if
     given, receives each history record as it is made. Raises
@@ -266,7 +273,7 @@ def train(train_windows: np.ndarray, val_windows: np.ndarray, config: TrainConfi
         "warning": None if feasible else f"outer budget exhausted with |h|={abs(final_h):.3e}",
         "h": final_h, "best_val_log_density": state.best_val,
     })
-    return model, model.adjacency.data.copy(), state.history
+    return model, model.adjacency.data, state.history
 
 
 def _load_arrays(model: GanfModel, arrays: dict[str, np.ndarray]):

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -12,6 +13,19 @@ def traced_peak(fn):
         base = tracemalloc.get_traced_memory()[0]
         out = fn()
         return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def traced_held(fn):
+    """(fn(), the memory still traced once it has returned and garbage is
+    collected, in bytes, above what was traced before)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
 

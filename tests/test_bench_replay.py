@@ -20,7 +20,8 @@ from ganf.data import write_series_csv  # noqa: E402
 from ganf.model import GanfModel  # noqa: E402
 import ganf.dag  # noqa: E402
 from ganf.dag import LagrangianState  # noqa: E402
-from ganf.training import Adam, TrainConfig, train_step  # noqa: E402
+import ganf.training  # noqa: E402
+from ganf.training import Adam, TrainConfig, TrainState, train_step  # noqa: E402
 
 
 def test_layer_replay_metrics_are_finite(tmp_path):
@@ -83,3 +84,31 @@ def test_traced_constrained_step_records_h_and_its_exponential_where_in_situ_rea
         tracer.unwrap_all()
     assert len(tracer.durations("dag.acyclicity")) == 1
     assert len(tracer.durations("matexp.expm", "dag.acyclicity")) == 1
+
+
+def test_traced_inner_epoch_records_each_layer_where_in_situ_reads_it():
+    """``layers.in_situ`` times the LSTM, the aggregation and the flow from
+    their spans under ``model.batch_nll`` (a training forward) and under
+    ``model.score_windows`` (a tape-free scoring pass), and validation from
+    ``training.val``: one inner epoch of one batch, validated in one batch,
+    records each of them once."""
+    model = GanfModel(n_series=3, input_dim=1, hidden_dim=4, flow_blocks=2,
+                      flow_hidden=4, seed=6)
+    windows = np.random.default_rng(6).normal(size=(12, 3, 5, 1))
+    config = TrainConfig(hidden_dim=4, flow_hidden=4, flow_blocks=2, batch_size=8,
+                         inner_epochs=1)
+    state = TrainState(model=model, lagrangian=LagrangianState(lam=1.0, c=1.0),
+                       optimizer=Adam(), lr=1e-3)
+    tracer = Tracer()
+    layers.instrument(tracer)
+    try:
+        ganf.training.inner_optimize(state, windows[:8], windows[8:], config,
+                                     np.random.default_rng(6))
+    finally:
+        tracer.unwrap_all()
+    for phase in ("model.batch_nll", "model.score_windows"):
+        assert len(tracer.durations(phase)) == 1, phase
+        for layer in ("encoder.lstm", "encoder.agg", "flow"):
+            assert len(tracer.durations(layer, phase)) == 1, (layer, phase)
+    assert len(tracer.durations("training.val", "training.inner")) == 1
+    assert len(tracer.durations("model.score_windows", "training.val")) == 1

@@ -511,6 +511,28 @@ def test_eval_non_finite_value_exit_2(runner, tmp_path, name, value, mode):
     assert not (tmp_path / "e").exists()
 
 
+def test_eval_smoothed_extreme_sigma(runner, tmp_path):
+    """sigma^2 may overflow or underflow a double: 1e200 makes every label 1,
+    a degenerate label mass (exit 1); 1e-200 gives the hard labels (exit 0).
+    Neither ends in a traceback."""
+    (tmp_path / "scores.csv").write_text("window_start,score\n0,1.0\n10,2.0\n")
+    (tmp_path / "labels.csv").write_text("window_start,label\n0,0\n10,1\n")
+
+    def run(sigma, out):
+        return runner.invoke(main, ["eval", "--scores", str(tmp_path / "scores.csv"),
+                                    "--labels", str(tmp_path / "labels.csv"), "--smooth",
+                                    "--sigma", sigma, "--out", str(tmp_path / out)])
+
+    res = run("1e200", "wide")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert "degenerate label mass (positives=2.0, negatives=0.0)" in res.output
+    assert not (tmp_path / "wide").exists()
+    res = run("1e-200", "narrow")
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "narrow" / "metrics.json").read_text())
+    assert report["auc"] == 1.0 and report["positive_mass"] == 1.0
+
+
 @pytest.mark.parametrize("args", [["--bins", "0"], ["--bins", "-3"],
                                   ["--sigma", "0"], ["--sigma", "-1"], ["--sigma", "nan"],
                                   ["--sigma", "inf"]])

@@ -28,6 +28,24 @@ def test_smooth_labels_empty_track():
     np.testing.assert_array_equal(p, np.zeros(4))
 
 
+@pytest.mark.parametrize("sigma, want", [(1e200, [1.0, 1.0, 1.0]),
+                                         (1e-200, [0.0, 1.0, 0.0]),
+                                         (1e-160, [0.0, 1.0, 0.0])])
+def test_smooth_labels_where_sigma_squared_leaves_the_normal_range(sigma, want):
+    """An overflowing sigma^2 reads as infinite, an underflowing one gives the hard labels."""
+    p = smooth_labels(np.array([0.0, 5.0, 7.0]), np.array([5.0]), sigma=sigma)
+    np.testing.assert_array_equal(p, want)
+
+
+@given(st.floats(1e-150, 1e150), st.integers(0, 2**32 - 1))
+def test_smooth_labels_keep_their_bytes_where_sigma_squared_is_normal(sigma, seed):
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(-1000, 1000, size=20).astype(np.float64)
+    track = rng.choice(starts, size=3)
+    want = np.exp(-((starts[:, None] - track[None, :]) ** 2) / sigma ** 2).max(axis=1)
+    assert smooth_labels(starts, track, sigma=sigma).tobytes() == want.tobytes()
+
+
 def test_smooth_labels_requires_positive_sigma():
     with pytest.raises(ValueError):
         smooth_labels(np.arange(3.0), np.array([1.0]), sigma=0.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ganf.model
 import ganf.parallel
 from conftest import traced_peak
 from ganf.data import make_windows
@@ -58,10 +59,9 @@ def test_unbatched_reference():
     report = model.log_density(window)
 
     from ganf.encoder import encode_dependencies, encode_hidden
-    from ganf.tensor import Tensor, mul
+    from ganf.tensor import Tensor
     hidden = encode_hidden(model.cell, window[None])
-    a_masked = mul(model.adjacency, Tensor(model._offdiag))
-    deps = encode_dependencies(model.enc, hidden, a_masked, 1, 3)
+    deps = encode_dependencies(model.enc, hidden, model.adjacency, 1, 3)
     manual = np.zeros((3, 4))
     for t in range(4):
         for i in range(3):
@@ -342,6 +342,58 @@ def test_tape_free_pass_frees_the_lstm_output_before_the_flow():
     x = np.random.default_rng(28).normal(size=(64, 5, 20, 1))
     _, peak = traced_peak(lambda: model.per_step_log_prob(x))
     assert peak < 7.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_forward_reads_the_adjacency_buffer_itself(monkeypatch):
+    """With diag(A) = 0, as every update leaves it, the aggregation reads A's
+    own buffer, taped or not: no masked n x n copy is made."""
+    model = _perturb(_model())
+    x = np.random.default_rng(29).normal(size=(2, 3, 4, 2))
+    seen = []
+    aggregate = ganf.model.encode_dependencies
+
+    def spy(params, hidden, a, batch, n):
+        seen.append(a.data)
+        return aggregate(params, hidden, a, batch, n)
+
+    monkeypatch.setattr(ganf.model, "encode_dependencies", spy)
+    with GradientTape():
+        model.batch_nll(x)
+    model.per_step_log_prob(x)
+    assert len(seen) == 2
+    assert all(np.shares_memory(a, model.adjacency.data) for a in seen)
+
+
+def test_adjacency_diagonal_is_ignored_by_the_density_and_its_gradient():
+    """A nonzero diag(A), as a hand-made checkpoint may hold, scores the same
+    bytes as the zeroed diagonal, gets a zero gradient and is left as it was."""
+    x = np.random.default_rng(30).normal(size=(4, 3, 5, 2))
+    runs = []
+    for diagonal in (0.0, 0.7):
+        model = _perturb(_model())
+        model.adjacency.data += np.random.default_rng(31).normal(size=(3, 3)) * 0.2
+        np.fill_diagonal(model.adjacency.data, diagonal)
+        with GradientTape() as tape:
+            loss = model.batch_nll(x)
+        tape.backward(loss)
+        assert np.all(np.diag(model.adjacency.data) == diagonal)
+        runs.append((model.per_step_log_prob(x).data, loss.item(), model.adjacency.grad))
+    (zeroed, loss0, grad0), (nonzero, loss1, grad1) = runs
+    assert zeroed.tobytes() == nonzero.tobytes() and loss0 == loss1
+    assert np.all(np.diag(grad1) == 0.0)
+    assert grad0.tobytes() == grad1.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_adjacency_diagonal_is_ignored_too(value):
+    """A NaN or inf on diag(A) is read as zero like any other diagonal value
+    (a masked product turned it into NaN, which the aggregation refused)."""
+    model = _perturb(_model())
+    x = np.random.default_rng(32).normal(size=(2, 3, 4, 2))
+    want = model.score_windows(x)
+    np.fill_diagonal(model.adjacency.data, value)
+    got = model.score_windows(x)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_score_windows_leaves_thread_counts_as_it_found_them():

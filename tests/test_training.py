@@ -19,7 +19,7 @@ from ganf.training import (Adam, CheckpointError, TrainConfig, TrainingAbort, Tr
                            _config_hash, checkpoint_load, checkpoint_save,
                            clip_gradients, inner_optimize, train, train_step)
 from ganf.dag import LagrangianState
-from conftest import traced_peak
+from conftest import traced_held, traced_peak
 
 
 def _tiny_split(seed=0, n=2, length=400, window=10):
@@ -171,11 +171,12 @@ def test_default_training_step_records_few_ops():
 
 def test_wide_constrained_step_frees_activations_and_expm_workspace_in_time():
     """One taped step with the augmented Lagrangian at n = 512 (B = 16, T = 4,
-    hidden 8, 2 flow blocks) peaks under 50 MB (44.3 MB): h(A) is recorded
+    hidden 8, 2 flow blocks) peaks under 50 MB (42.2 MB): h(A) is recorded
     before the forward pass, so the workspace of e^{A o A} (about 27 MB) never
     sits on the activations, and the replay frees each layer's activations as
     it goes. Without the first the step peaks at 59.5 MB, without the second
-    at 55.9 MB."""
+    at 55.9 MB; with a masked copy of A in the forward pass and the previous
+    step's gradients kept, at 44.3 MB."""
     n, b = 512, 16
     config = TrainConfig(hidden_dim=8, flow_hidden=8, flow_blocks=2, batch_size=b)
     model = GanfModel(n_series=n, input_dim=1, hidden_dim=8, flow_blocks=2, flow_hidden=8)
@@ -184,6 +185,38 @@ def test_wide_constrained_step_frees_activations_and_expm_workspace_in_time():
     train_step(model, batch, optimizer, 1e-3, config, lagrangian)   # Adam's moments exist
     _, peak = traced_peak(lambda: train_step(model, batch, optimizer, 1e-3, config, lagrangian))
     assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_trained_wide_model_holds_one_copy_of_the_adjacency(monkeypatch):
+    """At n = 256 what ``train`` returns holds about one n x n array (A,
+    512 KiB): no off-diagonal mask, no gradient of the last step and no
+    second copy of A beside the model (four arrays, 2 MiB, before)."""
+    n = 256
+    rng = np.random.default_rng(4)
+    windows = rng.normal(size=(24, n, 4, 1))
+    config = TrainConfig(hidden_dim=4, flow_hidden=4, flow_blocks=1, batch_size=8,
+                         inner_epochs=1, max_outer_iters=1)
+    monkeypatch.setattr(ganf.dag, "_last_exp", None)
+
+    def run():
+        out = train(windows[:16], windows[16:], config)
+        ganf.dag._last_exp = None    # the exponential cache is not the model's
+        return out
+
+    (model, adjacency, _), held = traced_held(run)
+    assert held < 1.5 * n * n * 8, f"held {held / 2**20:.2f} MiB"
+    assert adjacency is model.adjacency.data
+
+
+def test_no_gradient_outlives_its_step():
+    split = _tiny_split()
+    model, adjacency, _ = train(split.train, split.validation, _tiny_config())
+    assert adjacency is model.adjacency.data
+    assert all(p.grad is None for p in model.parameters().values())
+    batch = split.train[:4]
+    for lagrangian in (None, LagrangianState(lam=1.0, c=1.0)):
+        train_step(model, batch, Adam(), 1e-3, TrainConfig(), lagrangian)
+        assert all(p.grad is None for p in model.parameters().values())
 
 
 def test_history_bookkeeping():
